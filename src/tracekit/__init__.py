@@ -19,8 +19,7 @@ from tracekit.bench import (
     run_sweep,
 )
 from tracekit.estimators import (
-    ESTIMATOR_NAMES,
-    EstimatorConfig,
+    ESTIMATORS,
     TraceEstimate,
     exact_trace,
     hutch_pp,
@@ -49,8 +48,8 @@ from tracekit.linop import (
     LinearOperator,
     ProbeMatrix,
     RecordingOperator,
+    WrappedOperator,
     as_generator,
-    dense_reference,
     orthonormalize,
     pseudoinverse,
     sample_probes,
@@ -81,17 +80,16 @@ __all__ = [
     "LinearOperator",
     "DenseOperator",
     "DiagonalOperator",
+    "WrappedOperator",
     "RecordingOperator",
     "ProbeMatrix",
     "sample_probes",
     "orthonormalize",
     "pseudoinverse",
     "DenseReference",
-    "dense_reference",
     "as_generator",
     # estimators
-    "ESTIMATOR_NAMES",
-    "EstimatorConfig",
+    "ESTIMATORS",
     "TraceEstimate",
     "hutchinson",
     "hutch_pp",

@@ -11,15 +11,18 @@ subset or execution order.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from tracekit.estimators import ESTIMATOR_NAMES, run_estimator
+from tracekit.estimators import ESTIMATORS, exact_trace, run_estimator
 from tracekit.graph import (
     adjacency_operator,
     estrada_index_exact,
@@ -35,7 +38,6 @@ from tracekit.synth import (
     power_law_matrix,
     synthetic_2d_points,
 )
-from tracekit.estimators import exact_trace
 
 logger = logging.getLogger(__name__)
 
@@ -66,6 +68,14 @@ class PowerLawSource:
     dim: int = 1000
     rotate: bool = True
 
+    def materialize(self, seed: int) -> tuple[LinearOperator, float]:
+        """The source operator and its exact trace."""
+        spec = SpectrumSpec(self.dim, self.exponent)
+        if not self.rotate:
+            return DiagonalOperator(spec.eigenvalues), spec.trace
+        A, op = power_law_matrix(spec, _source_rng(seed))
+        return op, float(np.trace(A))
+
 
 @dataclass(frozen=True)
 class KernelLogDetSource:
@@ -81,6 +91,19 @@ class KernelLogDetSource:
     lanczos_iterations: int = 40
     points_path: str | None = None
 
+    def materialize(self, seed: int) -> tuple[LinearOperator, float]:
+        """The source operator and its exact trace."""
+        if self.points_path is not None:
+            pts = load_points(self.points_path)
+        else:
+            pts = synthetic_2d_points(self.n_points, _source_rng(seed))
+        B = gaussian_kernel_matrix(pts, self.gamma)
+        sign, logabsdet = np.linalg.slogdet(B + self.shift * np.eye(B.shape[0]))
+        if sign <= 0:
+            raise ValueError("kernel + shift is not positive definite")
+        op = shifted_log_operator(DenseOperator(B), self.shift, self.lanczos_iterations)
+        return op, float(logabsdet)
+
 
 @dataclass(frozen=True)
 class GraphEstradaSource:
@@ -89,12 +112,29 @@ class GraphEstradaSource:
     path: str
     lanczos_iterations: int = 40
 
+    def materialize(self, seed: int) -> tuple[LinearOperator, float]:
+        """The source operator and its exact trace."""
+        g = load_edge_list(self.path)
+        op = exp_operator(adjacency_operator(g), self.lanczos_iterations)
+        if g.node_count <= _DENSE_ESTRADA_MAX:
+            return op, estrada_index_exact(g)
+        label = f"estrada_lanczos{self.lanczos_iterations}"
+        return op, _cached_exact_trace(self.path, label, op)
+
 
 @dataclass(frozen=True)
 class GraphTrianglesSource:
     """trace(B^3) for a graph adjacency matrix (6x the triangle count)."""
 
     path: str
+
+    def materialize(self, seed: int) -> tuple[LinearOperator, float]:
+        """The source operator and its exact trace."""
+        g = load_edge_list(self.path)
+        op = power_operator(adjacency_operator(g), 3)
+        if g.node_count <= _TRIANGLE_ENUM_MAX:
+            return op, 6.0 * triangle_count_exact(g)
+        return op, _cached_exact_trace(self.path, "adjacency_cubed", op)
 
 
 MatrixSource = Union[
@@ -104,7 +144,10 @@ MatrixSource = Union[
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One benchmark sweep: source x estimators x budgets, `trials` deep."""
+    """One benchmark sweep: source x estimators x budgets, `trials` deep.
+
+    The source is anything with ``materialize(seed) -> (operator, trace)``.
+    """
 
     source: MatrixSource
     estimators: tuple[str, ...]
@@ -115,10 +158,10 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "budgets", tuple(int(m) for m in self.budgets))
-        unknown = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
+        unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ValueError(
-                f"unknown estimators {unknown!r}; valid: {', '.join(ESTIMATOR_NAMES)}"
+                f"unknown estimators {unknown!r}; valid: {', '.join(ESTIMATORS)}"
             )
         if not self.estimators:
             raise ValueError("need at least one estimator")
@@ -152,106 +195,69 @@ def _trial_rng(seed: int, estimator: str, m: int, trial: int) -> np.random.Gener
     # Stable realization of hash(base_seed, estimator, m, trial): the
     # registry index keys the estimator, so results do not depend on which
     # subset the user requested or its order.
-    idx = ESTIMATOR_NAMES.index(estimator)
+    idx = list(ESTIMATORS).index(estimator)
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(1, idx, int(m), int(trial)))
     )
 
 
-def _cached_exact_trace(path: Path, label: str, make_op) -> float:
-    """exact_trace on the wrapped operator, cached in a JSON beside the file."""
-    cache_path = Path(str(path) + ".trace-cache.json")
-    cache: dict[str, float] = {}
-    if cache_path.exists():
-        try:
-            cache = json.loads(cache_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            cache = {}
-    if label in cache:
-        return float(cache[label])
+def _cached_exact_trace(path, label: str, op: LinearOperator) -> float:
+    """exact_trace of op, cached in a JSON file beside `path`.
+
+    Entries are keyed on the sha256 of the file's bytes plus `label`, so an
+    edited file never reuses an old value; the cache is replaced atomically.
+    """
+    path = Path(path)
+    key = f"{hashlib.sha256(path.read_bytes()).hexdigest()}:{label}"
+    cache_path = path.with_name(path.name + ".trace-cache.json")
+    try:
+        cache = json.loads(cache_path.read_text())
+    except (OSError, json.JSONDecodeError):
+        cache = {}
+    if key in cache:
+        return float(cache[key])
     logger.info("computing exact ground truth for %s (%s); this is O(d) matvecs",
                 path, label)
-    value = exact_trace(make_op()).value
-    cache[label] = value
+    cache[key] = value = exact_trace(op.clone()).value
+    tmp = None
     try:
-        cache_path.write_text(json.dumps(cache, indent=1, sort_keys=True))
+        fd, tmp = tempfile.mkstemp(dir=cache_path.parent, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            json.dump(cache, fh, indent=1, sort_keys=True)
+        os.replace(tmp, cache_path)
     except OSError:
         logger.warning("could not write ground-truth cache %s", cache_path)
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
     return value
-
-
-def _materialize(source: MatrixSource, seed: int) -> tuple[LinearOperator, float]:
-    """Build the source operator once and compute its exact trace."""
-    if isinstance(source, PowerLawSource):
-        spec = SpectrumSpec(source.dim, source.exponent)
-        if source.rotate:
-            A, op = power_law_matrix(spec, _source_rng(seed))
-            return op, float(np.trace(A))
-        return DiagonalOperator(spec.eigenvalues), spec.trace
-    if isinstance(source, KernelLogDetSource):
-        if source.points_path is not None:
-            pts = load_points(source.points_path)
-        else:
-            pts = synthetic_2d_points(source.n_points, _source_rng(seed))
-        B = gaussian_kernel_matrix(pts, source.gamma)
-        shifted = B + source.shift * np.eye(B.shape[0])
-        sign, logabsdet = np.linalg.slogdet(shifted)
-        if sign <= 0:
-            raise ValueError("kernel + shift is not positive definite")
-        op = shifted_log_operator(
-            DenseOperator(B), source.shift, source.lanczos_iterations
-        )
-        return op, float(logabsdet)
-    if isinstance(source, GraphEstradaSource):
-        g = load_edge_list(source.path)
-        make_op = lambda: exp_operator(
-            adjacency_operator(g), source.lanczos_iterations
-        )
-        if g.node_count <= _DENSE_ESTRADA_MAX:
-            truth = estrada_index_exact(g)
-        else:
-            truth = _cached_exact_trace(
-                Path(source.path),
-                f"estrada_lanczos{source.lanczos_iterations}",
-                make_op,
-            )
-        return make_op(), truth
-    if isinstance(source, GraphTrianglesSource):
-        g = load_edge_list(source.path)
-        make_op = lambda: power_operator(adjacency_operator(g), 3)
-        if g.node_count <= _TRIANGLE_ENUM_MAX:
-            truth = 6.0 * triangle_count_exact(g)
-        else:
-            truth = _cached_exact_trace(Path(source.path), "adjacency_cubed", make_op)
-        return make_op(), truth
-    raise TypeError(f"unknown matrix source {source!r}")
 
 
 def run_sweep(spec: ExperimentSpec) -> list[TrialStats]:
     """Run the full sweep; one TrialStats row per valid (estimator, m) cell.
 
-    Budgets below an estimator's minimum are logged and skipped; the sweep
-    continues.  Quartiles use linear interpolation between order statistics.
+    A budget the estimator's budget rule rejects is logged and its cell
+    skipped before any trial runs; any other failure propagates.  Quartiles
+    use linear interpolation between order statistics.
     """
-    op, truth = _materialize(spec.source, spec.seed)
+    op, truth = spec.source.materialize(spec.seed)
     if truth == 0.0:
         raise ValueError("ground-truth trace is zero; relative error is undefined")
     rows: list[TrialStats] = []
     for estimator in spec.estimators:
         for m in spec.budgets:
-            errors = np.empty(spec.trials)
-            matvecs = np.empty(spec.trials)
             try:
-                for t in range(spec.trials):
-                    trial_op = op.clone()
-                    result = run_estimator(
-                        trial_op, estimator, m, _trial_rng(spec.seed, estimator, m, t)
-                    )
-                    errors[t] = abs(result.value - truth) / abs(truth)
-                    matvecs[t] = result.matvecs_used
+                ESTIMATORS[estimator].split(m)
             except ValueError as exc:
                 logger.warning("skipping %s at m=%d: %s", estimator, m, exc)
                 continue
+            errors = np.empty(spec.trials)
+            matvecs = np.empty(spec.trials)
+            for t in range(spec.trials):
+                result = run_estimator(
+                    op.clone(), estimator, m, _trial_rng(spec.seed, estimator, m, t)
+                )
+                errors[t] = abs(result.value - truth) / abs(truth)
+                matvecs[t] = result.matvecs_used
             q25, med, q75 = np.percentile(errors, [25.0, 50.0, 75.0])
             rows.append(
                 TrialStats(

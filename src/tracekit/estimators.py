@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from tracekit.linop import (
     Distribution,
     LinearOperator,
-    _coerce_distribution,
     as_generator,
     orthonormalize,
     pseudoinverse,
@@ -29,8 +29,7 @@ from tracekit.linop import (
 
 __all__ = [
     "TraceEstimate",
-    "EstimatorConfig",
-    "ESTIMATOR_NAMES",
+    "ESTIMATORS",
     "hutchinson",
     "hutch_pp",
     "na_hutch_pp",
@@ -40,15 +39,6 @@ __all__ = [
     "exact_trace",
     "run_estimator",
 ]
-
-#: Canonical estimator registry order (stable: seeds and CSV rows rely on it).
-ESTIMATOR_NAMES = (
-    "hutchinson",
-    "hutch_pp",
-    "na_hutch_pp",
-    "hutch_pp_gauss",
-    "subspace_projection",
-)
 
 DEFAULT_FRACTIONS = (0.25, 0.5, 0.25)
 
@@ -69,26 +59,40 @@ class TraceEstimate:
     split: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Budget and sampling configuration for a single estimator run."""
+# Budget rules: each maps a budget m to the column counts its estimator
+# spends, or raises ValueError when the estimator cannot use m.  The
+# estimator and the registry below call the same rule.
 
-    budget_m: int
-    distribution: Distribution = Distribution.RADEMACHER
-    split_fractions: tuple[float, float, float] = DEFAULT_FRACTIONS
-    seed: int | None = None
 
-    def __post_init__(self):
-        if int(self.budget_m) < 1:
-            raise ValueError(f"budget_m must be >= 1, got {self.budget_m}")
-        object.__setattr__(self, "budget_m", int(self.budget_m))
-        object.__setattr__(
-            self, "distribution", _coerce_distribution(self.distribution)
+def _hutchinson_split(m: int) -> int:
+    if int(m) < 1:
+        raise ValueError(f"hutchinson needs m >= 1 probes, got {m}")
+    return int(m)
+
+
+def _hutch_pp_split(m: int) -> int:
+    if int(m) < 3:
+        raise ValueError(f"hutch_pp needs m >= 3 (one probe per phase), got {m}")
+    return int(m) // 3
+
+
+def _hutch_pp_gauss_split(m: int) -> tuple[int, int]:
+    m = int(m)
+    if m < 6 or m % 4 != 2:
+        rem = (m - 2) % 4
+        lower = m - rem
+        upper = lower + 4
+        if upper < 6:
+            upper = 6
+        nearest = f"{lower} and {upper}" if lower >= 6 else f"{upper}"
+        raise ValueError(
+            f"hutch_pp_gauss needs m = 2 (mod 4) and m >= 6, got {m}; "
+            f"nearest valid budgets: {nearest}"
         )
-        _validate_fractions(self.split_fractions)
+    return (m + 2) // 4, (m - 2) // 2
 
 
-def _validate_fractions(fractions) -> tuple[float, float, float]:
+def _na_hutch_pp_split(m: int, fractions=DEFAULT_FRACTIONS) -> tuple[int, int, int]:
     if len(fractions) != 3:
         raise ValueError(f"expected three split fractions, got {fractions!r}")
     c1, c2, c3 = (float(c) for c in fractions)
@@ -98,7 +102,24 @@ def _validate_fractions(fractions) -> tuple[float, float, float]:
         raise ValueError(f"split fractions require c1 < c2, got {fractions!r}")
     if abs(c1 + c2 + c3 - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {fractions!r}")
-    return c1, c2, c3
+    m = int(m)
+    # The epsilon absorbs binary representation error in the fractions
+    # (0.15 * 20 = 2.999...96 must floor to 3, not 2).
+    n1 = math.floor(c1 * m + 1e-9)
+    n2 = math.floor(c2 * m + 1e-9)
+    n3 = math.floor(c3 * m + 1e-9)
+    if min(n1, n2, n3) < 1:
+        raise ValueError(
+            f"budget m={m} with fractions {fractions!r} leaves an empty probe "
+            f"block (floors: {n1}, {n2}, {n3}); increase m"
+        )
+    return n1, n2, n3
+
+
+def _subspace_projection_split(m: int) -> int:
+    if int(m) < 2:
+        raise ValueError(f"subspace_projection needs a budget of >= 2 matvecs, got {m}")
+    return int(m) // 2
 
 
 def _trace_inner(X: np.ndarray, Y: np.ndarray) -> float:
@@ -118,9 +139,7 @@ def hutchinson(
     entries.  Rademacher probes are exact on diagonal operators since
     g_i^2 = 1 entrywise.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"hutchinson needs m >= 1 probes, got {m}")
+    m = _hutchinson_split(m)
     gen = as_generator(rng)
     G = sample_probes(op.dim, m, distribution, gen).entries
     before = op.query_count
@@ -185,10 +204,7 @@ def hutch_pp(
     sketch is rank-deficient the A Q block shrinks and matvecs_used reports
     the true count.
     """
-    m = int(m)
-    if m < 3:
-        raise ValueError(f"hutch_pp needs m >= 3 (one probe per phase), got {m}")
-    b = m // 3
+    b = _hutch_pp_split(m)
     gen = as_generator(rng)
     g_sketch, g_resid = gen.spawn(2)
     S = sample_probes(op.dim, b, distribution, g_sketch).entries
@@ -204,20 +220,7 @@ def hutch_pp_gauss(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     residual probes G are Rademacher with (m-2)/2 columns, and the residual
     average uses the factor 2/(m-2).
     """
-    m = int(m)
-    if m < 6 or m % 4 != 2:
-        rem = (m - 2) % 4
-        lower = m - rem
-        upper = lower + 4
-        if upper < 6:
-            upper = 6
-        nearest = f"{lower} and {upper}" if lower >= 6 else f"{upper}"
-        raise ValueError(
-            f"hutch_pp_gauss needs m = 2 (mod 4) and m >= 6, got {m}; "
-            f"nearest valid budgets: {nearest}"
-        )
-    n_sketch = (m + 2) // 4
-    n_resid = (m - 2) // 2
+    n_sketch, n_resid = _hutch_pp_gauss_split(m)
     gen = as_generator(rng)
     g_sketch, g_resid = gen.spawn(2)
     S = sample_probes(op.dim, n_sketch, Distribution.GAUSSIAN, g_sketch).entries
@@ -239,18 +242,7 @@ def na_hutch_pp_probes(
     Column counts are floor(c_i * m), each required >= 1; leftover budget is
     discarded.
     """
-    c1, c2, c3 = _validate_fractions(fractions)
-    m = int(m)
-    # The epsilon absorbs binary representation error in the fractions
-    # (0.15 * 20 = 2.999...96 must floor to 3, not 2).
-    n1 = math.floor(c1 * m + 1e-9)
-    n2 = math.floor(c2 * m + 1e-9)
-    n3 = math.floor(c3 * m + 1e-9)
-    if min(n1, n2, n3) < 1:
-        raise ValueError(
-            f"budget m={m} with fractions {fractions!r} leaves an empty probe "
-            f"block (floors: {n1}, {n2}, {n3}); increase m"
-        )
+    n1, n2, n3 = _na_hutch_pp_split(m, fractions)
     gen = as_generator(rng)
     g1, g2, g3 = gen.spawn(3)
     S = sample_probes(d, n1, distribution, g1).entries
@@ -363,34 +355,48 @@ def exact_trace(op: LinearOperator, chunk: int = 256) -> TraceEstimate:
     )
 
 
+@dataclass(frozen=True)
+class _Entry:
+    # `run` looks its estimator up by module name at call time, so a wrapper
+    # installed on the module function (a profiler, a test double) also sees
+    # the calls made through the registry.
+    run: Callable[[LinearOperator, int, object], TraceEstimate]
+    split: Callable[[int], object]
+
+
+#: The estimator registry: name -> how to run it at a budget of m matvecs,
+#: and its budget rule (raises ValueError for a budget it cannot use).  The
+#: order is fixed: trial seeds key on each name's index.
+ESTIMATORS: dict[str, _Entry] = {
+    "hutchinson": _Entry(
+        lambda op, m, rng: hutchinson(op, m, rng=rng), _hutchinson_split
+    ),
+    "hutch_pp": _Entry(lambda op, m, rng: hutch_pp(op, m, rng=rng), _hutch_pp_split),
+    "na_hutch_pp": _Entry(
+        lambda op, m, rng: na_hutch_pp(op, m, rng=rng), _na_hutch_pp_split
+    ),
+    "hutch_pp_gauss": _Entry(
+        lambda op, m, rng: hutch_pp_gauss(op, m, rng=rng), _hutch_pp_gauss_split
+    ),
+    "subspace_projection": _Entry(
+        lambda op, m, rng: subspace_projection(
+            op, _subspace_projection_split(m), 1, rng
+        ),
+        _subspace_projection_split,
+    ),
+}
+
+
 def run_estimator(
-    op: LinearOperator,
-    name: str,
-    budget_m: int,
-    rng=None,
-    fractions=DEFAULT_FRACTIONS,
-    distribution: Distribution | str = Distribution.RADEMACHER,
+    op: LinearOperator, name: str, budget_m: int, rng=None
 ) -> TraceEstimate:
-    """Dispatch one estimator by registry name at a total budget of m matvecs.
+    """Run the registered estimator `name` at a total budget of m matvecs.
 
     subspace_projection maps the budget to k = floor(m/2) with q = 1 so its
     k(q+1) spend matches m.
     """
-    if name == "hutchinson":
-        return hutchinson(op, budget_m, distribution, rng)
-    if name == "hutch_pp":
-        return hutch_pp(op, budget_m, distribution, rng)
-    if name == "na_hutch_pp":
-        return na_hutch_pp(op, budget_m, fractions, distribution, rng)
-    if name == "hutch_pp_gauss":
-        return hutch_pp_gauss(op, budget_m, rng)
-    if name == "subspace_projection":
-        k = int(budget_m) // 2
-        if k < 1:
-            raise ValueError(
-                f"subspace_projection needs a budget of >= 2 matvecs, got {budget_m}"
-            )
-        return subspace_projection(op, k, 1, rng)
-    raise ValueError(
-        f"unknown estimator {name!r}; expected one of {', '.join(ESTIMATOR_NAMES)}"
-    )
+    if name not in ESTIMATORS:
+        raise ValueError(
+            f"unknown estimator {name!r}; expected one of {', '.join(ESTIMATORS)}"
+        )
+    return ESTIMATORS[name].run(op, budget_m, rng)

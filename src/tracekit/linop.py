@@ -25,13 +25,13 @@ __all__ = [
     "LinearOperator",
     "DenseOperator",
     "DiagonalOperator",
+    "WrappedOperator",
     "RecordingOperator",
     "ProbeMatrix",
     "sample_probes",
     "orthonormalize",
     "pseudoinverse",
     "DenseReference",
-    "dense_reference",
     "as_generator",
 ]
 
@@ -179,7 +179,31 @@ class DiagonalOperator(LinearOperator):
         return self.diagonal[:, None] * X
 
 
-class RecordingOperator(LinearOperator):
+class WrappedOperator(LinearOperator):
+    """Operator applied through a private clone of another operator.
+
+    Subclasses apply ``self._inner``.  The wrapper's own query_count is the
+    trace-estimation budget; the multiplies it spends on the wrapped
+    operator are counted apart, as ``inner_matvecs``.  A clone gets its own
+    inner clone, so both counters start from zero.
+    """
+
+    def __init__(self, inner: LinearOperator):
+        super().__init__(inner.dim)
+        self._inner = inner.clone()
+
+    @property
+    def inner_matvecs(self) -> int:
+        """Raw multiplies spent on the wrapped operator by this operator."""
+        return self._inner.query_count
+
+    def clone(self):
+        dup = super().clone()
+        dup._inner = self._inner.clone()
+        return dup
+
+
+class RecordingOperator(WrappedOperator):
     """Wrapper that records every query block passed through it.
 
     Used to test query accounting and the non-adaptivity contract: after a
@@ -188,8 +212,7 @@ class RecordingOperator(LinearOperator):
     """
 
     def __init__(self, inner: LinearOperator):
-        super().__init__(inner.dim)
-        self._inner = inner
+        super().__init__(inner)
         self.queries: list[NDArray[np.float64]] = []
 
     def _apply_block(self, X):
@@ -198,7 +221,6 @@ class RecordingOperator(LinearOperator):
 
     def clone(self):
         dup = super().clone()
-        dup._inner = self._inner.clone()
         dup.queries = []
         return dup
 
@@ -363,8 +385,3 @@ class DenseReference:
         if k >= self.dim:
             return 0.0
         return float(np.sqrt(self._tail_sq[k]))
-
-
-def dense_reference(A: ArrayLike) -> DenseReference:
-    """Exact reference quantities for a square matrix (see DenseReference)."""
-    return DenseReference(A)

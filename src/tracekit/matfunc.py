@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from tracekit.linop import LinearOperator
+from tracekit.linop import LinearOperator, WrappedOperator
 
 __all__ = [
     "LanczosDecomposition",
@@ -118,12 +118,10 @@ def lanczos_apply(
     return norm_x * (dec.basis @ coeff)
 
 
-class LanczosFunctionOperator(LinearOperator):
+class LanczosFunctionOperator(WrappedOperator):
     """f(B) as a LinearOperator, each matvec one Lanczos solve on B.
 
-    The wrapper's own query_count is the trace-estimation budget; raw
-    multiplies against B accumulate on a private clone and are exposed as
-    ``inner_matvecs`` (at most `iterations` per wrapper query).
+    Each wrapper query spends at most `iterations` ``inner_matvecs`` on B.
     """
 
     def __init__(
@@ -135,23 +133,12 @@ class LanczosFunctionOperator(LinearOperator):
         iterations = int(iterations)
         if iterations < 1:
             raise ValueError(f"need iterations >= 1, got {iterations}")
-        super().__init__(inner.dim)
-        self._inner = inner.clone()
+        super().__init__(inner)
         self._f = f
         self._iterations = iterations
 
-    @property
-    def inner_matvecs(self) -> int:
-        """Raw multiplies spent on the wrapped B by this operator."""
-        return self._inner.query_count
-
     def _apply_vec(self, x):
         return lanczos_apply(self._inner, self._f, x, self._iterations)
-
-    def clone(self):
-        dup = super().clone()
-        dup._inner = self._inner.clone()
-        return dup
 
 
 def exp_operator(B: LinearOperator, iterations: int) -> LanczosFunctionOperator:
@@ -180,31 +167,21 @@ def shifted_log_operator(
     return LanczosFunctionOperator(B, f, iterations)
 
 
-class PowerOperator(LinearOperator):
+class PowerOperator(WrappedOperator):
     """B^q as a LinearOperator: q sequential multiplies per query, exact."""
 
     def __init__(self, inner: LinearOperator, q: int):
         q = int(q)
         if q < 1:
             raise ValueError(f"need q >= 1, got {q}")
-        super().__init__(inner.dim)
-        self._inner = inner.clone()
+        super().__init__(inner)
         self._q = q
-
-    @property
-    def inner_matvecs(self) -> int:
-        return self._inner.query_count
 
     def _apply_block(self, X):
         Y = X
         for _ in range(self._q):
             Y = self._inner.matmat(Y)
         return Y
-
-    def clone(self):
-        dup = super().clone()
-        dup._inner = self._inner.clone()
-        return dup
 
 
 def power_operator(B: LinearOperator, q: int) -> PowerOperator:

@@ -29,9 +29,9 @@ from tracekit.graph import (
 )
 from tracekit.linop import (
     DenseOperator,
+    DenseReference,
     DiagonalOperator,
     RecordingOperator,
-    dense_reference,
 )
 from tracekit.matfunc import exp_operator, lanczos_apply, power_operator
 from tracekit.synth import SpectrumSpec, power_law_matrix
@@ -90,7 +90,7 @@ def test_criterion_03_deflated_gaussian_variance_bounds():
     t0 = time.time()
     A, op = power_law_matrix(SpectrumSpec(500, 1.5), rng=77)
     tr = float(np.trace(A))
-    ref = dense_reference(A)
+    ref = DenseReference(A)
     failures = []
     for m in (14, 26, 50):
         vals = np.array(
@@ -120,7 +120,7 @@ def test_criterion_04_tail_mass_bound():
     worst = 0.0
     for c in (0.5, 1.0, 1.5, 2.0):
         spec = SpectrumSpec(1000, c)
-        ref = dense_reference(np.diag(spec.eigenvalues))
+        ref = DenseReference(np.diag(spec.eigenvalues))
         tr = spec.trace
         for k in range(1, 1000):
             bound = tr / (2.0 * np.sqrt(k))
@@ -197,7 +197,7 @@ def test_criterion_07_frobenius_trace_ratios():
     results = {}
     for c in (2.0, 0.5):
         spec = SpectrumSpec(5000, c)
-        ref = dense_reference(np.diag(spec.eigenvalues))
+        ref = DenseReference(np.diag(spec.eigenvalues))
         results[c] = ref.frobenius_norm / ref.trace
     ok = abs(results[2.0] - 0.63) <= 0.01 and abs(results[0.5] - 0.02) <= 0.005
     elapsed = _report(7, "frobenius-to-trace spectrum ratios", ok, t0)

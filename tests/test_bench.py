@@ -15,9 +15,11 @@ from tracekit.bench import (
     TrialStats,
     emit_csv,
     fit_loglog_slope,
+    _cached_exact_trace,
     run_sweep,
 )
 from tracekit.cli import main
+from tracekit.linop import DiagonalOperator, LinearOperator
 
 
 def _stats(pairs):
@@ -152,6 +154,36 @@ def test_sweep_skips_invalid_budget_cells_and_continues(caplog):
     assert cells == {("hutch_pp_gauss", 10), ("hutchinson", 8), ("hutchinson", 10)}
     assert any("skipping hutch_pp_gauss at m=8" in rec.getMessage()
                for rec in caplog.records)
+
+
+class _NanOperator(LinearOperator):
+    def _apply_block(self, X):
+        return np.full(X.shape, np.nan)
+
+
+class _NanSource:
+    def materialize(self, seed):
+        return _NanOperator(30), 1.0
+
+
+def test_sweep_fails_loudly_mid_cell():
+    # A valid budget whose trials fail is an error, not a skipped cell.
+    spec = ExperimentSpec(_NanSource(), ("hutch_pp",), (6, 12), trials=2)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_sweep(spec)
+
+
+def test_cached_exact_trace_is_keyed_on_file_contents(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("0 1\n")
+    assert _cached_exact_trace(p, "diag", DiagonalOperator([1.0, 2.0])) == 3.0
+    # Same bytes: the cached value is returned without querying the operator.
+    assert _cached_exact_trace(p, "diag", DiagonalOperator([5.0, 5.0])) == 3.0
+    p.write_text("0 1\n1 2\n")
+    assert _cached_exact_trace(p, "diag", DiagonalOperator([5.0, 5.0])) == 10.0
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "g.txt", "g.txt.trace-cache.json"
+    ]  # no temporary file left behind
 
 
 def test_sweep_rejects_zero_trace_truth(tmp_path):

@@ -5,13 +5,12 @@ import pytest
 
 from tracekit.linop import (
     DenseOperator,
+    DenseReference,
     DiagonalOperator,
     RecordingOperator,
-    dense_reference,
 )
 from tracekit.estimators import (
-    ESTIMATOR_NAMES,
-    EstimatorConfig,
+    ESTIMATORS,
     exact_trace,
     hutch_pp,
     hutch_pp_gauss,
@@ -237,7 +236,7 @@ def test_hutch_pp_gauss_variance_bound_smoke():
     bound = 16.0 / (26 - 2) ** 2 * tr**2
     assert vals.var(ddof=1) <= 1.1 * bound
     # Tighter non-PSD form with k = (m-2)/8 - 1 = 2.
-    tail = dense_reference(A).rank_k_tail_frobenius(2)
+    tail = DenseReference(A).rank_k_tail_frobenius(2)
     assert vals.var(ddof=1) <= 1.1 * (8.0 / 24.0) * tail**2
 
 
@@ -304,7 +303,7 @@ def test_exact_trace_matches_reference():
     A = rng.standard_normal((30, 30))
     op = DenseOperator(A)
     est = exact_trace(op)
-    ref = dense_reference(A)
+    ref = DenseReference(A)
     assert est.value == pytest.approx(ref.trace, abs=1e-12)
     assert est.matvecs_used == 30
     assert op.query_count == 30
@@ -382,24 +381,16 @@ def test_quantile_scaling_in_budget():
     assert -0.65 <= slope <= -0.35
 
 
-# ------------------------------------------------------------ config, dispatch
-
-
-def test_estimator_config_validation():
-    cfg = EstimatorConfig(budget_m=12)
-    assert cfg.distribution.value == "rademacher"
-    with pytest.raises(ValueError):
-        EstimatorConfig(budget_m=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(budget_m=12, split_fractions=(0.5, 0.25, 0.25))
-    with pytest.raises(ValueError):
-        EstimatorConfig(budget_m=12, distribution="uniform")
+# ------------------------------------------------------------------ registry
 
 
 def test_run_estimator_dispatch():
     lam = np.arange(1.0, 21.0)
     op = DiagonalOperator(lam)
-    for name in ESTIMATOR_NAMES:
+    assert list(ESTIMATORS) == [
+        "hutchinson", "hutch_pp", "na_hutch_pp", "hutch_pp_gauss", "subspace_projection"
+    ]  # trial seeds key on this order
+    for name in ESTIMATORS:
         m = 14  # valid for every estimator (2 mod 4, >= minimums)
         est = run_estimator(op.clone(), name, m, rng=3)
         assert est.estimator == name
@@ -407,3 +398,17 @@ def test_run_estimator_dispatch():
     assert est.matvecs_used == 14  # k = 7, q = 1
     with pytest.raises(ValueError, match="unknown estimator"):
         run_estimator(op, "simple_average", 10)
+    # Each budget rule rejects exactly the budgets its estimator rejects.
+    for name, entry in ESTIMATORS.items():
+        for m in range(1, 31):
+            try:
+                entry.split(m)
+                rule_accepts = True
+            except ValueError:
+                rule_accepts = False
+            try:
+                run_estimator(op.clone(), name, m, rng=m)
+                runs = True
+            except ValueError:
+                runs = False
+            assert rule_accepts == runs, (name, m)

@@ -131,6 +131,13 @@ def test_triangle_count_small_graphs():
     assert triangle_count_exact(parse_edge_list("0 1\n1 2\n")) == 0
     assert triangle_count_exact(_complete(5)) == 10  # C(5,3)
     assert triangle_count_exact(Graph(node_count=1, edges=())) == 0
+    assert triangle_count_exact(Graph(node_count=0, edges=())) == 0
+    rng = np.random.default_rng(17)
+    pairs = rng.integers(0, 60, size=(500, 2))
+    g = parse_edge_list("\n".join(f"{a} {b}" for a, b in pairs))
+    A = adjacency_operator(g).matrix.toarray()
+    count = triangle_count_exact(g)
+    assert count > 0 and 6 * count == round(np.trace(A @ A @ A))
 
 
 def test_triangle_count_matches_cube_trace():

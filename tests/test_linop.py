@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from tracekit.linop import (
     DenseOperator,
+    DenseReference,
     DiagonalOperator,
     Distribution,
     RecordingOperator,
-    dense_reference,
     orthonormalize,
     pseudoinverse,
     sample_probes,
@@ -267,18 +267,18 @@ def test_pseudoinverse_penrose_property(p, q, r, seed):
     assert np.linalg.norm((P @ M).T - P @ M) <= 1e-8
 
 
-# ------------------------------------------------------------- dense_reference
+# ------------------------------------------------------------- DenseReference
 
 
 def test_reference_identity():
-    ref = dense_reference(np.eye(5))
+    ref = DenseReference(np.eye(5))
     assert ref.trace == 5.0
     assert ref.frobenius_norm == pytest.approx(np.sqrt(5.0), rel=1e-15)
     assert ref.nuclear_norm == pytest.approx(5.0, rel=1e-12)
 
 
 def test_reference_rank_tail_drop_smallest():
-    ref = dense_reference(np.diag([3.0, 1.0]))
+    ref = DenseReference(np.diag([3.0, 1.0]))
     assert ref.rank_k_tail_frobenius(1) == pytest.approx(1.0, rel=1e-12)
     assert ref.rank_k_tail_frobenius(0) == pytest.approx(
         ref.frobenius_norm, rel=1e-12
@@ -289,7 +289,7 @@ def test_reference_rank_tail_drop_smallest():
 def test_reference_power_law_frobenius_trace_ratio():
     # diag(i^-2) at d=5000: Frobenius norm sits at 63% of the trace.
     lam = np.arange(1, 5001, dtype=float) ** -2.0
-    ref = dense_reference(np.diag(lam))
+    ref = DenseReference(np.diag(lam))
     assert ref.frobenius_norm / ref.trace == pytest.approx(0.63, abs=0.01)
 
 
@@ -297,7 +297,7 @@ def test_reference_psd_nuclear_equals_trace():
     rng = np.random.default_rng(21)
     X = rng.standard_normal((12, 12))
     A = X @ X.T
-    ref = dense_reference(A)
+    ref = DenseReference(A)
     assert ref.nuclear_norm == pytest.approx(ref.trace, rel=1e-10)
     assert ref.nuclear_norm >= ref.frobenius_norm >= 0.0
 
@@ -306,7 +306,7 @@ def test_reference_tail_non_increasing():
     rng = np.random.default_rng(22)
     A = rng.standard_normal((15, 15))
     A = A + A.T
-    ref = dense_reference(A)
+    ref = DenseReference(A)
     tails = [ref.rank_k_tail_frobenius(k) for k in range(16)]
     assert tails[0] == pytest.approx(ref.frobenius_norm, rel=1e-12)
     assert all(a >= b - 1e-12 for a, b in zip(tails, tails[1:]))
@@ -315,7 +315,7 @@ def test_reference_tail_non_increasing():
 def test_reference_nonsymmetric_uses_singular_values():
     rng = np.random.default_rng(23)
     A = rng.standard_normal((9, 9))
-    ref = dense_reference(A)
+    ref = DenseReference(A)
     s = np.linalg.svd(A, compute_uv=False)
     np.testing.assert_allclose(ref.eigenvalues_descending, s, rtol=1e-12)
     assert ref.nuclear_norm == pytest.approx(s.sum(), rel=1e-12)
@@ -323,7 +323,7 @@ def test_reference_nonsymmetric_uses_singular_values():
 
 def test_reference_symmetric_eigenvalues_descending():
     A = np.diag([1.0, -4.0, 2.0])
-    ref = dense_reference(A)
+    ref = DenseReference(A)
     np.testing.assert_allclose(ref.eigenvalues_descending, [2.0, 1.0, -4.0])
     # Best rank-1 approximation keeps the -4 eigenvalue (largest magnitude).
     assert ref.rank_k_tail_frobenius(1) == pytest.approx(np.sqrt(5.0), rel=1e-12)
@@ -331,14 +331,14 @@ def test_reference_symmetric_eigenvalues_descending():
 
 def test_reference_non_square_rejected():
     with pytest.raises(ValueError):
-        dense_reference(np.ones((2, 3)))
+        DenseReference(np.ones((2, 3)))
 
 
 def test_reference_low_rank_tail_bounds_psd():
     # trace/sqrt(k) bound and its sharpened trace/(2 sqrt(k)) form on a PSD
     # power-law spectrum.
     lam = np.arange(1, 201, dtype=float) ** -1.0
-    ref = dense_reference(np.diag(lam))
+    ref = DenseReference(np.diag(lam))
     tr = ref.trace
     for k in range(1, 200):
         tail = ref.rank_k_tail_frobenius(k)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tracekit.linop import dense_reference
+from tracekit.linop import DenseReference
 from tracekit.synth import (
     SpectrumSpec,
     gaussian_kernel_matrix,
@@ -78,7 +78,7 @@ def test_power_law_rotation_spreads_diagonal():
 def test_power_law_tail_matches_reference():
     spec = SpectrumSpec(120, 1.0)
     A, _ = power_law_matrix(spec, rng=6)
-    ref = dense_reference(A)
+    ref = DenseReference(A)
     lam = spec.eigenvalues
     for k in (0, 5, 40):
         expected = float(np.sqrt((lam[k:] ** 2).sum()))

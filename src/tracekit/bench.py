@@ -54,10 +54,9 @@ __all__ = [
     "emit_csv",
 ]
 
-# Dense Estrada / triangle oracles are only used below these sizes; larger
-# graphs get (cached) exact_trace on the wrapped operator instead.
+# The dense Estrada oracle is only used up to this size; larger graphs get
+# (cached) exact_trace on the wrapped operator instead.
 _DENSE_ESTRADA_MAX = 2000
-_TRIANGLE_ENUM_MAX = 5000
 
 
 @dataclass(frozen=True)
@@ -132,9 +131,8 @@ class GraphTrianglesSource:
         """The source operator and its exact trace."""
         g = load_edge_list(self.path)
         op = power_operator(adjacency_operator(g), 3)
-        if g.node_count <= _TRIANGLE_ENUM_MAX:
-            return op, 6.0 * triangle_count_exact(g)
-        return op, _cached_exact_trace(self.path, "adjacency_cubed", op)
+        # The sparse count is exact and needs no operator queries at any size.
+        return op, 6.0 * triangle_count_exact(g, force=True)
 
 
 MatrixSource = Union[

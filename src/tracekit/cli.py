@@ -25,7 +25,30 @@ from tracekit.graph import EdgeListParseError
 
 __all__ = ["build_parser", "main"]
 
-_SOURCES = ("power_law", "kernel_logdet", "graph_estrada", "graph_triangles")
+
+def _graph_path(args) -> str:
+    if args.graph is None:
+        raise ValueError(f"--source {args.source} requires --graph FILE")
+    return args.graph
+
+
+# --source name -> builder of the matrix source from the parsed arguments.
+_SOURCES = {
+    "power_law": lambda args: PowerLawSource(
+        exponent=args.c, dim=args.d, rotate=not args.no_rotate
+    ),
+    "kernel_logdet": lambda args: KernelLogDetSource(
+        n_points=args.n_points,
+        gamma=args.gamma,
+        shift=args.shift,
+        lanczos_iterations=args.lanczos_iters,
+        points_path=args.points_file,
+    ),
+    "graph_estrada": lambda args: GraphEstradaSource(
+        path=_graph_path(args), lanczos_iterations=args.lanczos_iters
+    ),
+    "graph_triangles": lambda args: GraphTrianglesSource(path=_graph_path(args)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sweep stochastic trace estimators over a budget grid "
         "and write median/quartile relative errors as CSV.",
     )
-    p.add_argument("--source", required=True, choices=_SOURCES,
+    p.add_argument("--source", required=True, choices=list(_SOURCES),
                    help="matrix source to benchmark against")
     p.add_argument("--estimators", default="hutchinson,hutch_pp",
                    help="comma-separated estimator names")
@@ -75,31 +98,12 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
 
 
-def _build_source(args):
-    if args.source == "power_law":
-        return PowerLawSource(exponent=args.c, dim=args.d, rotate=not args.no_rotate)
-    if args.source == "kernel_logdet":
-        return KernelLogDetSource(
-            n_points=args.n_points,
-            gamma=args.gamma,
-            shift=args.shift,
-            lanczos_iterations=args.lanczos_iters,
-            points_path=args.points_file,
-        )
-    if args.graph is None:
-        raise ValueError(f"--source {args.source} requires --graph FILE")
-    if args.source == "graph_estrada":
-        return GraphEstradaSource(path=args.graph,
-                                  lanczos_iterations=args.lanczos_iters)
-    return GraphTrianglesSource(path=args.graph)
-
-
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
         spec = ExperimentSpec(
-            source=_build_source(args),
+            source=_SOURCES[args.source](args),
             estimators=tuple(
                 tok.strip() for tok in args.estimators.split(",") if tok.strip()
             ),

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import math
+import re
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,65 +27,116 @@ __all__ = [
     "natural_connectivity",
 ]
 
+# Edge-list grammar.  Lines end in "\n" or "\r\n".  A line is blank, a
+# comment whose first non-blank character is "#", or two node ids (an
+# optional sign and ASCII digits) separated by spaces or tabs.  Characters
+# that str.splitlines treats as line breaks are refused even in comments, so
+# no tool splits a comment into a data line.
+_COMMENT = re.compile(r"[ \t]*(?:#[^\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?")
+_DATA = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]+[+-]?[0-9]+[ \t]*")
+_NOT_DATA = re.compile(r"[^0-9+\- \t\n]")
+_INT64 = np.iinfo(np.int64)
+
 
 class EdgeListParseError(ValueError):
     """Malformed edge-list input; the message names the offending line."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph with nodes relabeled to 0..n-1.
 
-    Edges are stored once as (u, v) with u < v; self-loops never survive
-    parsing (their count is kept for reporting).
+    ``edges`` is a read-only (E, 2) int64 array holding each edge once as
+    (u, v) with u < v; self-loops never survive parsing (their count is kept
+    for reporting).
     """
 
     node_count: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     self_loops_dropped: int = 0
+
+    def __post_init__(self):
+        edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def adjacency(self) -> scipy.sparse.csr_matrix:
+        """Symmetric 0/1 adjacency matrix in canonical CSR form, built once.
+
+        The adjacency operator, the triangle count and the Estrada index all
+        read this one matrix.
+        """
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+        n = self.node_count
+        A = scipy.sparse.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
+        for part in (A.data, A.indices, A.indptr):
+            part.flags.writeable = False
+        return A
+
+
+def _first_bad_line(text: str) -> EdgeListParseError:
+    """The parse error naming the first line outside the grammar."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if _COMMENT.fullmatch(line):
+            continue
+        if not _DATA.fullmatch(line):
+            return EdgeListParseError(
+                f"line {lineno}: expected two integer node ids, got {line!r}"
+            )
+        if any(not _INT64.min <= int(tok) <= _INT64.max for tok in line.split()):
+            return EdgeListParseError(
+                f"line {lineno}: node id outside the int64 range in {line!r}"
+            )
+    return EdgeListParseError("malformed edge list")
+
 
 def parse_edge_list(text: str) -> Graph:
     """Parse a SNAP-style whitespace edge list.
 
-    Lines starting with '#' are comments; each data line holds two integer
-    node IDs.  IDs are compacted to 0..n-1 in first-seen order, (u,v)/(v,u)
-    duplicates merge, and self-loops are dropped (counted).
+    Each line is blank, a comment (first non-blank character '#'), or two
+    integer node IDs (optional sign, ASCII digits, within int64) separated by
+    spaces or tabs; lines end in '\\n' or '\\r\\n'.  IDs are compacted to
+    0..n-1 in first-seen order, (u,v)/(v,u) duplicates merge, and self-loops
+    are dropped (counted).
     """
-    ids: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    self_loops = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListParseError(
-                f"line {lineno}: expected two node ids, got {raw!r}"
-            )
+    text = text.replace("\r\n", "\n")
+    # A line holding anything but digits, signs and blanks must be a comment.
+    pos = 0
+    while match := _NOT_DATA.search(text, pos):
+        start = text.rfind("\n", 0, match.start()) + 1
+        pos = text.find("\n", match.start())
+        pos = len(text) if pos < 0 else pos
+        if not _COMMENT.fullmatch(text, start, pos):
+            raise _first_bad_line(text)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            ids = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
         except ValueError:
-            raise EdgeListParseError(
-                f"line {lineno}: non-integer node id in {raw!r}"
-            ) from None
-        if a == b:
-            self_loops += 1
-            continue
-        u = ids.setdefault(a, len(ids))
-        v = ids.setdefault(b, len(ids))
-        key = (u, v) if u < v else (v, u)
-        if key not in seen:
-            seen.add(key)
-            edges.append(key)
+            raise _first_bad_line(text) from None
+    if ids.size == 0:
+        ids = ids.reshape(0, 2)
+    elif ids.shape[1] != 2:
+        raise _first_bad_line(text)
+    loops = ids[:, 0] == ids[:, 1]
+    ids = ids[~loops]
+    # Label each ID by the rank of its first appearance, row-major.
+    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    label = np.empty(len(uniq), dtype=np.int64)
+    label[np.argsort(first)] = np.arange(len(uniq))
+    ends = np.sort(label[inverse].reshape(-1, 2), axis=1)
+    # Keep each undirected edge at its first appearance, in file order.
+    _, first_edge = np.unique(ends[:, 0] * len(uniq) + ends[:, 1], return_index=True)
     return Graph(
-        node_count=len(ids), edges=tuple(edges), self_loops_dropped=self_loops
+        node_count=len(uniq),
+        edges=ends[np.sort(first_edge)],
+        self_loops_dropped=int(loops.sum()),
     )
 
 
@@ -91,22 +146,13 @@ def load_edge_list(path) -> Graph:
 
 
 class AdjacencyOperator(LinearOperator):
-    """Symmetric 0/1 adjacency matvec in O(|E|) per query (CSR storage)."""
+    """Symmetric 0/1 adjacency matvec in O(|E|) per query (the graph's CSR)."""
 
     def __init__(self, graph: Graph):
         if graph.node_count < 1:
             raise ValueError("graph has no nodes; adjacency operator undefined")
         super().__init__(graph.node_count)
-        n = graph.node_count
-        if graph.edges:
-            e = np.asarray(graph.edges, dtype=np.int64)
-            rows = np.concatenate([e[:, 0], e[:, 1]])
-            cols = np.concatenate([e[:, 1], e[:, 0]])
-            data = np.ones(rows.shape[0])
-        else:
-            rows = cols = np.zeros(0, dtype=np.int64)
-            data = np.zeros(0)
-        self.matrix = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+        self.matrix = graph.adjacency
 
     def _apply_block(self, X):
         return np.asarray(self.matrix @ X)
@@ -132,9 +178,9 @@ def triangle_count_exact(g: Graph, max_nodes: int = 5000, force: bool = False) -
             f"graph has {g.node_count} nodes > guard {max_nodes}; "
             "pass force=True to enumerate anyway"
         )
-    if not g.edges:
+    if g.edge_count == 0:
         return 0
-    U = scipy.sparse.triu(adjacency_operator(g).matrix, k=1, format="csr")
+    U = scipy.sparse.triu(g.adjacency, k=1, format="csr")
     return int((U @ U).multiply(U).sum())
 
 
@@ -146,11 +192,7 @@ def estrada_index_exact(g: Graph, max_nodes: int = 2000) -> float:
         )
     if g.node_count < 1:
         raise ValueError("graph has no nodes")
-    B = np.zeros((g.node_count, g.node_count))
-    for u, v in g.edges:
-        B[u, v] = 1.0
-        B[v, u] = 1.0
-    return float(np.exp(np.linalg.eigvalsh(B)).sum())
+    return float(np.exp(np.linalg.eigvalsh(g.adjacency.toarray())).sum())
 
 
 def natural_connectivity(estrada: float, n: int) -> float:

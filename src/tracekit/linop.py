@@ -106,7 +106,10 @@ class LinearOperator:
         return np.column_stack([self._apply_vec(X[:, j]) for j in range(X.shape[1])])
 
     def matvec(self, x: ArrayLike) -> NDArray[np.float64]:
-        """Apply the operator to one vector; increments query_count by 1."""
+        """Apply the operator to one vector; increments query_count by 1.
+
+        A non-finite result raises ValueError naming the operator class.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._dim,):
             raise ValueError(
@@ -116,10 +119,14 @@ class LinearOperator:
             raise ValueError("matvec input contains non-finite entries")
         y = self._apply_vec(x)
         self._count(1)
+        self._check_output(y)
         return y
 
     def matmat(self, X: ArrayLike) -> NDArray[np.float64]:
-        """Apply the operator to each column of X; increments query_count by k."""
+        """Apply the operator to each column of X; increments query_count by k.
+
+        A non-finite result raises ValueError naming the operator class.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] != self._dim:
             raise ValueError(
@@ -131,7 +138,14 @@ class LinearOperator:
             return np.zeros((self._dim, 0))
         Y = self._apply_block(X)
         self._count(X.shape[1])
+        self._check_output(Y)
         return Y
+
+    def _check_output(self, Y: NDArray[np.float64]) -> None:
+        # A nan or inf from any operator stops the caller here instead of
+        # reaching an estimate (or the CSV).
+        if not np.isfinite(Y).all():
+            raise ValueError(f"{type(self).__name__} output contains non-finite entries")
 
     def clone(self) -> "LinearOperator":
         """Fresh operator sharing read-only data but with a zeroed counter."""

@@ -18,7 +18,8 @@ from tracekit.bench import (
     _cached_exact_trace,
     run_sweep,
 )
-from tracekit.cli import main
+from tracekit import cli
+from tracekit.cli import build_parser, main
 from tracekit.linop import DiagonalOperator, LinearOperator
 
 
@@ -166,11 +167,19 @@ class _NanSource:
         return _NanOperator(30), 1.0
 
 
-def test_sweep_fails_loudly_mid_cell():
+@pytest.mark.parametrize("estimator", ["hutchinson", "hutch_pp", "na_hutch_pp"])
+def test_sweep_fails_loudly_mid_cell(estimator, tmp_path, capsys, monkeypatch):
     # A valid budget whose trials fail is an error, not a skipped cell.
-    spec = ExperimentSpec(_NanSource(), ("hutch_pp",), (6, 12), trials=2)
-    with pytest.raises(ValueError, match="non-finite"):
+    spec = ExperimentSpec(_NanSource(), (estimator,), (6, 12), trials=2)
+    with pytest.raises(ValueError, match="_NanOperator output contains non-finite"):
         run_sweep(spec)
+    monkeypatch.setitem(cli._SOURCES, "nan", lambda args: _NanSource())
+    out = tmp_path / "nan.csv"
+    rc = main(["--source", "nan", "--estimators", estimator, "--budgets", "6,12",
+               "--trials", "2", "--out", str(out)])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cached_exact_trace_is_keyed_on_file_contents(tmp_path):
@@ -253,6 +262,17 @@ def test_sweep_graph_estrada_source(tmp_path):
     assert all(r.median_rel_err < 1.0 for r in rows)
 
 
+def test_triangle_truth_is_exact_past_5000_nodes_without_a_cache(tmp_path):
+    p = tmp_path / "triangles.txt"
+    p.write_text("".join(
+        f"{a} {a + 1}\n{a + 1} {a + 2}\n{a + 2} {a}\n" for a in range(0, 6000, 3)
+    ))
+    op, truth = GraphTrianglesSource(path=str(p)).materialize(seed=0)
+    assert op.dim == 6000
+    assert truth == 12000.0  # 6 x 2000 triangles
+    assert list(tmp_path.glob("*.trace-cache.json")) == []
+
+
 # ------------------------------------------------------------ fit_loglog_slope
 
 
@@ -331,6 +351,19 @@ def test_sweep_to_csv_is_byte_deterministic(tmp_path):
 
 
 # ------------------------------------------------------------------------- CLI
+
+
+def test_cli_source_table_builds_each_source():
+    expected = {
+        "power_law": PowerLawSource,
+        "kernel_logdet": KernelLogDetSource,
+        "graph_estrada": GraphEstradaSource,
+        "graph_triangles": GraphTrianglesSource,
+    }
+    assert list(cli._SOURCES) == list(expected)
+    for name, source_class in expected.items():
+        args = build_parser().parse_args(["--source", name, "--graph", "g.txt"])
+        assert type(cli._SOURCES[name](args)) is source_class
 
 
 def test_cli_end_to_end(tmp_path, capsys):

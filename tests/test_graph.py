@@ -1,9 +1,14 @@
 """Edge-list ingestion, adjacency oracle, triangle and Estrada references."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracekit.estimators import exact_trace
 from tracekit.graph import (
@@ -36,21 +41,21 @@ def test_parse_basic_triangle():
     assert g.node_count == 3
     assert g.edge_count == 3
     assert g.self_loops_dropped == 0
-    assert set(g.edges) == {(0, 1), (1, 2), (0, 2)}
+    assert sorted(g.edges.tolist()) == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_parse_comments_loops_and_duplicates():
     g = parse_edge_list("# comment line\n5 5\n5 6\n6 5\n")
     # The loop line drops entirely; 5 and 6 then appear in first-seen order.
     assert g.node_count == 2
-    assert g.edges == ((0, 1),)
+    assert g.edges.tolist() == [[0, 1]]
     assert g.self_loops_dropped == 1
 
 
 def test_parse_first_seen_compaction():
     g = parse_edge_list("30 10\n10 20\n")
     # 30 -> 0, 10 -> 1, 20 -> 2.
-    assert g.edges == ((0, 1), (1, 2))
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_parse_blank_lines_and_tabs():
@@ -60,9 +65,13 @@ def test_parse_blank_lines_and_tabs():
 
 
 def test_parse_empty_input():
-    g = parse_edge_list("# only comments\n")
-    assert g.node_count == 0
-    assert g.edge_count == 0
+    for text in ("# only comments\n", "", "\n \t\n"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = parse_edge_list(text)
+        assert g.node_count == 0
+        assert g.edge_count == 0
+        assert g.edges.shape == (0, 2)
 
 
 def test_parse_errors_name_the_line():
@@ -72,6 +81,147 @@ def test_parse_errors_name_the_line():
         parse_edge_list("0 1\n1 2\nx 3\n")
     with pytest.raises(EdgeListParseError, match="line 1"):
         parse_edge_list("7\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("1_000 2\n", id="underscore"),  # int() accepts it
+        pytest.param("\u0661 2\n", id="non-ascii-digit"),
+        pytest.param("1\xa02\n", id="no-break-space"),
+        pytest.param("1 2\v3 4\n", id="vertical-tab"),
+        pytest.param("1 2\r3 4\n", id="bare-cr"),
+        pytest.param("# note\x85 1 2\n", id="line-break-in-comment"),
+        pytest.param("9223372036854775808 1\n", id="past-int64"),
+        pytest.param("1 2 # 3\n", id="comment-after-data"),
+    ],
+)
+def test_parse_rejects_text_outside_the_grammar(text):
+    with pytest.raises(EdgeListParseError, match="line 2"):
+        parse_edge_list("0 1\n" + text)
+
+
+# The line-loop parser that parse_edge_list replaced, kept as the reference:
+# returns (node_count, edge tuples, self_loops_dropped).
+def _reference_parse(text: str) -> tuple[int, list[tuple[int, int]], int]:
+    ids: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    self_loops = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(
+                f"line {lineno}: expected two node ids, got {raw!r}"
+            )
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(
+                f"line {lineno}: non-integer node id in {raw!r}"
+            ) from None
+        if a == b:
+            self_loops += 1
+            continue
+        u = ids.setdefault(a, len(ids))
+        v = ids.setdefault(b, len(ids))
+        key = (u, v) if u < v else (v, u)
+        if key not in seen:
+            seen.add(key)
+            edges.append(key)
+    return len(ids), edges, self_loops
+
+
+def _reference_adjacency(n: int, edges: list) -> scipy.sparse.csr_matrix:
+    # The adjacency build that went with the reference parser.
+    if edges:
+        e = np.asarray(edges, dtype=np.int64)
+        rows = np.concatenate([e[:, 0], e[:, 1]])
+        cols = np.concatenate([e[:, 1], e[:, 0]])
+        data = np.ones(rows.shape[0])
+    else:
+        rows = cols = np.zeros(0, dtype=np.int64)
+        data = np.zeros(0)
+    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+_blanks = st.text(" \t", max_size=3)
+_gap = st.text(" \t", min_size=1, max_size=3)
+_comment = st.builds(
+    lambda lead, body: f"{lead}#{body}",
+    _blanks,
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12),
+)
+_node = st.one_of(st.integers(-3, 12), st.integers(-(2**63), 2**63 - 1))
+
+
+@st.composite
+def _node_id(draw) -> str:
+    value = draw(_node)
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    return sign + "0" * draw(st.integers(0, 2)) + str(abs(value))
+
+
+@st.composite
+def _data_lines(draw) -> list[str]:
+    # One edge, then maybe its reverse, a repeat, or a self-loop on its tail.
+    a, b = draw(_node_id()), draw(_node_id())
+    pairs = [(a, b)] + draw(st.sampled_from([[], [(b, a)], [(a, b)], [(a, a)]]))
+    return [draw(_blanks) + u + draw(_gap) + v + draw(_blanks) for u, v in pairs]
+
+
+_line_groups = st.lists(
+    st.one_of(
+        _data_lines(),
+        st.builds(lambda line: [line], _comment),
+        st.builds(lambda line: [line], _blanks),
+    ),
+    max_size=25,
+)
+_malformed = st.sampled_from(
+    ["5", " 1 2 3", "1 x", "1.5 2", "0x10 3", "1 2 # 3 4", "1 2#", "-", "+ 1"]
+)
+
+
+@st.composite
+def _edge_list_text(draw, malformed: bool = False) -> str:
+    lines = [line for group in draw(_line_groups) for line in group]
+    if malformed:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_malformed))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                            min_size=len(lines), max_size=len(lines)))
+    last = draw(st.sampled_from(["", "7 8", "# tail"]))  # no line ending
+    return "".join(line + end for line, end in zip(lines, endings)) + last
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_list_text())
+def test_parse_matches_the_line_loop_reference(text):
+    got = parse_edge_list(text)
+    node_count, edges, self_loops = _reference_parse(text)
+    assert got.node_count == node_count
+    assert got.self_loops_dropped == self_loops
+    assert got.edges.dtype == np.int64 and got.edges.shape == (len(edges), 2)
+    assert got.edges.tolist() == [list(e) for e in edges]
+    A, B = got.adjacency, _reference_adjacency(node_count, edges)
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(A, part), getattr(B, part)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_list_text(malformed=True))
+def test_parse_errors_name_the_reference_line(text):
+    with pytest.raises(EdgeListParseError) as want:
+        _reference_parse(text)
+    with pytest.raises(EdgeListParseError) as got:
+        parse_edge_list(text)
+    line = re.compile(r"line (\d+):")
+    assert line.match(str(got.value))[1] == line.match(str(want.value))[1]
 
 
 def test_load_edge_list_file(tmp_path):
@@ -108,6 +258,14 @@ def test_adjacency_matches_dense_on_random_graph():
     op = adjacency_operator(parse_edge_list("\n".join(lines)))
     X = rng.standard_normal((n, 6))
     np.testing.assert_array_equal(op.matmat(X), dense @ X)
+
+
+def test_adjacency_is_built_once_and_read_only():
+    g = _complete(5)
+    A = g.adjacency
+    assert adjacency_operator(g).matrix is A
+    assert adjacency_operator(g).matrix is A
+    assert not any(a.flags.writeable for a in (A.data, A.indices, A.indptr, g.edges))
 
 
 def test_adjacency_trace_is_zero():
@@ -171,6 +329,17 @@ def test_estrada_guard_has_no_override():
     g = Graph(node_count=3000, edges=((0, 1),))
     with pytest.raises(ValueError, match="3000"):
         estrada_index_exact(g, max_nodes=2000)
+
+
+def test_estrada_matches_the_dense_loop_build_bitwise():
+    rng = np.random.default_rng(23)
+    pairs = rng.integers(0, 80, size=(400, 2))
+    g = parse_edge_list("\n".join(f"{a} {b}" for a, b in pairs))
+    B = np.zeros((g.node_count, g.node_count))
+    for u, v in g.edges.tolist():
+        B[u, v] = 1.0
+        B[v, u] = 1.0
+    assert estrada_index_exact(g) == float(np.exp(np.linalg.eigvalsh(B)).sum())
 
 
 def test_estrada_complete_graph():

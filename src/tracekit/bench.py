@@ -24,6 +24,7 @@ import numpy as np
 
 from tracekit.estimators import ESTIMATORS, exact_trace, run_estimator
 from tracekit.graph import (
+    _DENSE_ESTRADA_MAX,
     adjacency_operator,
     estrada_index_exact,
     load_edge_list,
@@ -53,11 +54,6 @@ __all__ = [
     "fit_loglog_slope",
     "emit_csv",
 ]
-
-# The dense Estrada oracle is only used up to this size; larger graphs get
-# (cached) exact_trace on the wrapped operator instead.
-_DENSE_ESTRADA_MAX = 2000
-
 
 @dataclass(frozen=True)
 class PowerLawSource:
@@ -132,7 +128,7 @@ class GraphTrianglesSource:
         g = load_edge_list(self.path)
         op = power_operator(adjacency_operator(g), 3)
         # The sparse count is exact and needs no operator queries at any size.
-        return op, 6.0 * triangle_count_exact(g, force=True)
+        return op, 6.0 * triangle_count_exact(g)
 
 
 MatrixSource = Union[

@@ -12,7 +12,6 @@ standard basis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,9 +38,6 @@ __all__ = [
     "exact_trace",
     "run_estimator",
 ]
-
-DEFAULT_FRACTIONS = (0.25, 0.5, 0.25)
-
 
 @dataclass(frozen=True)
 class TraceEstimate:
@@ -92,26 +88,13 @@ def _hutch_pp_gauss_split(m: int) -> tuple[int, int]:
     return (m + 2) // 4, (m - 2) // 2
 
 
-def _na_hutch_pp_split(m: int, fractions=DEFAULT_FRACTIONS) -> tuple[int, int, int]:
-    if len(fractions) != 3:
-        raise ValueError(f"expected three split fractions, got {fractions!r}")
-    c1, c2, c3 = (float(c) for c in fractions)
-    if min(c1, c2, c3) <= 0.0:
-        raise ValueError(f"split fractions must all be positive, got {fractions!r}")
-    if not c1 < c2:
-        raise ValueError(f"split fractions require c1 < c2, got {fractions!r}")
-    if abs(c1 + c2 + c3 - 1.0) > 1e-9:
-        raise ValueError(f"split fractions must sum to 1, got {fractions!r}")
+def _na_hutch_pp_split(m: int) -> tuple[int, int, int]:
     m = int(m)
-    # The epsilon absorbs binary representation error in the fractions
-    # (0.15 * 20 = 2.999...96 must floor to 3, not 2).
-    n1 = math.floor(c1 * m + 1e-9)
-    n2 = math.floor(c2 * m + 1e-9)
-    n3 = math.floor(c3 * m + 1e-9)
+    n1, n2, n3 = m // 4, m // 2, m // 4
     if min(n1, n2, n3) < 1:
         raise ValueError(
-            f"budget m={m} with fractions {fractions!r} leaves an empty probe "
-            f"block (floors: {n1}, {n2}, {n3}); increase m"
+            f"budget m={m} leaves an empty probe block "
+            f"(floors: {n1}, {n2}, {n3}); increase m"
         )
     return n1, n2, n3
 
@@ -185,16 +168,12 @@ def _deflated_estimate(
     )
 
 
-def hutch_pp(
-    op: LinearOperator,
-    m: int,
-    distribution: Distribution | str = Distribution.RADEMACHER,
-    rng=None,
-) -> TraceEstimate:
+def hutch_pp(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     """Variance-reduced trace estimate with budget m split three ways.
 
-    With b = floor(m/3): draws sketch probes S and residual probes G (d x b
-    each, independent streams), forms Q = orthonormalize(A S), and returns
+    With b = floor(m/3): draws Rademacher sketch probes S and residual
+    probes G (d x b each, independent streams), forms Q = orthonormalize(A S),
+    and returns
 
         trace(Q^T A Q) + (1/b) * sum_j <g_j, A g_j>,  g_j = (I - QQ^T) G_j.
 
@@ -207,8 +186,8 @@ def hutch_pp(
     b = _hutch_pp_split(m)
     gen = as_generator(rng)
     g_sketch, g_resid = gen.spawn(2)
-    S = sample_probes(op.dim, b, distribution, g_sketch).entries
-    G = sample_probes(op.dim, b, distribution, g_resid).entries
+    S = sample_probes(op.dim, b, Distribution.RADEMACHER, g_sketch).entries
+    G = sample_probes(op.dim, b, Distribution.RADEMACHER, g_resid).entries
     return _deflated_estimate(op, S, G, "hutch_pp")
 
 
@@ -229,39 +208,29 @@ def hutch_pp_gauss(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
 
 
 def na_hutch_pp_probes(
-    d: int,
-    m: int,
-    fractions=DEFAULT_FRACTIONS,
-    distribution: Distribution | str = Distribution.RADEMACHER,
-    rng=None,
+    d: int, m: int, rng=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (S, R, G) probe blocks na_hutch_pp will use for this seed.
+    """The (S, R, G) Rademacher probe blocks na_hutch_pp will use for this seed.
 
     Exposed so callers (and the non-adaptivity test) can reconstruct every
     query vector from the seed alone, before any operator output exists.
-    Column counts are floor(c_i * m), each required >= 1; leftover budget is
-    discarded.
+    Column counts are floor(m/4), floor(m/2) and floor(m/4), each required
+    >= 1; leftover budget is discarded.
     """
-    n1, n2, n3 = _na_hutch_pp_split(m, fractions)
+    n1, n2, n3 = _na_hutch_pp_split(m)
     gen = as_generator(rng)
     g1, g2, g3 = gen.spawn(3)
-    S = sample_probes(d, n1, distribution, g1).entries
-    R = sample_probes(d, n2, distribution, g2).entries
-    G = sample_probes(d, n3, distribution, g3).entries
+    S = sample_probes(d, n1, Distribution.RADEMACHER, g1).entries
+    R = sample_probes(d, n2, Distribution.RADEMACHER, g2).entries
+    G = sample_probes(d, n3, Distribution.RADEMACHER, g3).entries
     return S, R, G
 
 
-def na_hutch_pp(
-    op: LinearOperator,
-    m: int,
-    fractions=DEFAULT_FRACTIONS,
-    distribution: Distribution | str = Distribution.RADEMACHER,
-    rng=None,
-) -> TraceEstimate:
+def na_hutch_pp(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     """Non-adaptive variance-reduced trace estimate.
 
-    Splits the budget into blocks S (n1 = floor(c1*m) columns), R (n2 =
-    floor(c2*m)), G (n3 = floor(c3*m)), samples all of them up front, and
+    Splits the budget into blocks S (n1 = floor(m/4) columns), R (n2 =
+    floor(m/2)), G (n3 = floor(m/4)), samples all of them up front, and
     issues exactly one batched multiply [S | R | G] -> [W | Z | AG]; no
     query depends on a prior query's result.  With the rank-n1 surrogate
     A~ = Z (S^T Z)^+ W^T the estimate is
@@ -272,7 +241,7 @@ def na_hutch_pp(
     the combined estimator unbiased.  A singular S^T Z is handled by the
     pseudoinverse cutoff.
     """
-    S, R, G = na_hutch_pp_probes(op.dim, m, fractions, distribution, rng)
+    S, R, G = na_hutch_pp_probes(op.dim, m, rng)
     n1, n2, n3 = S.shape[1], R.shape[1], G.shape[1]
     before = op.query_count
     Y = op.matmat(np.hstack([S, R, G]))
@@ -334,13 +303,17 @@ def subspace_projection(
     )
 
 
-def exact_trace(op: LinearOperator, chunk: int = 256) -> TraceEstimate:
+# Standard-basis columns per exact_trace query block.
+_EXACT_TRACE_CHUNK = 256
+
+
+def exact_trace(op: LinearOperator) -> TraceEstimate:
     """Exact trace via d standard-basis queries (chunked for batching)."""
     d = op.dim
     before = op.query_count
     total = 0.0
-    for start in range(0, d, chunk):
-        stop = min(start + chunk, d)
+    for start in range(0, d, _EXACT_TRACE_CHUNK):
+        stop = min(start + _EXACT_TRACE_CHUNK, d)
         width = stop - start
         E = np.zeros((d, width))
         cols = np.arange(width)

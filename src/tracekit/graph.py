@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ __all__ = [
     "AdjacencyOperator",
     "triangle_count_exact",
     "estrada_index_exact",
-    "natural_connectivity",
 ]
 
 # Edge-list grammar.  Lines end in "\n" or "\r\n".  A line is blank, a
@@ -36,6 +34,9 @@ _COMMENT = re.compile(r"[ \t]*(?:#[^\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?")
 _DATA = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]+[+-]?[0-9]+[ \t]*")
 _NOT_DATA = re.compile(r"[^0-9+\- \t\n]")
 _INT64 = np.iinfo(np.int64)
+
+# Largest graph whose Estrada index is computed by dense eigendecomposition.
+_DENSE_ESTRADA_MAX = 2000
 
 
 class EdgeListParseError(ValueError):
@@ -166,41 +167,25 @@ def adjacency_operator(g: Graph) -> AdjacencyOperator:
     return AdjacencyOperator(g)
 
 
-def triangle_count_exact(g: Graph, max_nodes: int = 5000, force: bool = False) -> int:
-    """Exact triangle count as a sparse product, guarded to max_nodes nodes.
+def triangle_count_exact(g: Graph) -> int:
+    """Exact triangle count as a sparse product, at any graph size.
 
     With U the strictly upper adjacency triangle, (U @ U)[i, k] counts the
     paths i < j < k, so masking by U[i, k] counts each triangle once.
-    force=True lifts the guard.
     """
-    if g.node_count > max_nodes and not force:
-        raise ValueError(
-            f"graph has {g.node_count} nodes > guard {max_nodes}; "
-            "pass force=True to enumerate anyway"
-        )
     if g.edge_count == 0:
         return 0
     U = scipy.sparse.triu(g.adjacency, k=1, format="csr")
     return int((U @ U).multiply(U).sum())
 
 
-def estrada_index_exact(g: Graph, max_nodes: int = 2000) -> float:
-    """Estrada index trace(exp(B)) via dense eigendecomposition (small n)."""
-    if g.node_count > max_nodes:
+def estrada_index_exact(g: Graph) -> float:
+    """Estrada index trace(exp(B)) via dense eigendecomposition (<= 2,000 nodes)."""
+    if g.node_count > _DENSE_ESTRADA_MAX:
         raise ValueError(
-            f"graph has {g.node_count} nodes > dense guard {max_nodes}"
+            f"graph has {g.node_count} nodes > dense guard {_DENSE_ESTRADA_MAX}"
         )
     if g.node_count < 1:
         raise ValueError("graph has no nodes")
     return float(np.exp(np.linalg.eigvalsh(g.adjacency.toarray())).sum())
 
-
-def natural_connectivity(estrada: float, n: int) -> float:
-    """log(estrada / n): average-eigenvalue form of the Estrada index."""
-    estrada = float(estrada)
-    n = int(n)
-    if estrada <= 0.0:
-        raise ValueError(f"estrada index must be > 0, got {estrada}")
-    if n < 1:
-        raise ValueError(f"node count must be >= 1, got {n}")
-    return math.log(estrada / n)

@@ -233,6 +233,9 @@ class RecordingOperator(WrappedOperator):
         self.queries.append(X.copy())
         return self._inner.matmat(X)
 
+    def _check_output(self, Y):
+        """No-op: Y is the inner operator's matmat result, checked there."""
+
     def clone(self):
         dup = super().clone()
         dup.queries = []
@@ -281,16 +284,15 @@ def sample_probes(
     return ProbeMatrix(dim=d, cols=k, distribution=distribution, entries=entries)
 
 
-def orthonormalize(X: ArrayLike, drop_tol: float = 1e-12) -> NDArray[np.float64]:
+def orthonormalize(X: ArrayLike) -> NDArray[np.float64]:
     """Orthonormal basis for the column span of X, dropping dependent columns.
 
     Columns whose residual norm against the span of the preceding columns
-    falls below ``drop_tol * ||X||_F`` are discarded, so the output is d x r
+    falls below ``1e-12 * ||X||_F`` are discarded, so the output is d x r
     with r the numerical rank of X.  An all-zero X yields a d x 0 result.
 
     Args:
         X: d x k matrix, d >= k >= 1.
-        drop_tol: relative column-residual drop tolerance.
 
     Returns:
         Q with orthonormal columns spanning range(X).
@@ -306,30 +308,31 @@ def orthonormalize(X: ArrayLike, drop_tol: float = 1e-12) -> NDArray[np.float64]
     scale = np.linalg.norm(X)
     if scale == 0.0:
         return np.zeros((d, 0))
-    threshold = drop_tol * scale
+    threshold = 1e-12 * scale
     # Householder QR; |R_jj| is column j's residual norm against the span of
     # the previous columns.  Fast path when every column clears the tolerance.
-    Q, R = scipy.linalg.qr(X, mode="economic")
+    # X is known finite, so LAPACK's input check is skipped.
+    Q, R = scipy.linalg.qr(X, mode="economic", check_finite=False)
     if np.all(np.abs(np.diag(R)) >= threshold):
         return Q
     # Rank-deficient: redo with column pivoting so the kept prefix spans X.
-    Q, R, _ = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    Q, R, _ = scipy.linalg.qr(X, mode="economic", pivoting=True, check_finite=False)
     rdiag = np.abs(np.diag(R))  # non-increasing by pivoting
     r = int(np.searchsorted(-rdiag, -threshold, side="right"))
     return Q[:, :r]
 
 
-def pseudoinverse(M: ArrayLike, tol: float = 1e-12) -> NDArray[np.float64]:
+def pseudoinverse(M: ArrayLike) -> NDArray[np.float64]:
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff.
 
-    Singular values below ``tol`` times the largest singular value are
+    Singular values below 1e-12 times the largest singular value are
     treated as zero.  The zero matrix maps to the (transposed-shape) zero
     matrix.
     """
     M = np.asarray(M, dtype=np.float64)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains non-finite entries")
-    return np.linalg.pinv(M, rtol=tol)
+    return np.linalg.pinv(M, rtol=1e-12)
 
 
 class DenseReference:

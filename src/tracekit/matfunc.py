@@ -183,6 +183,9 @@ class PowerOperator(WrappedOperator):
             Y = self._inner.matmat(Y)
         return Y
 
+    def _check_output(self, Y):
+        """No-op: Y is the inner operator's last matmat result, checked there."""
+
 
 def power_operator(B: LinearOperator, q: int) -> PowerOperator:
     """Exact monomial power B^q (q >= 1) as a LinearOperator."""

@@ -1,5 +1,7 @@
 """Estimator contracts: exactness cases, unbiasedness, budgets, non-adaptivity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from tracekit.linop import (
 )
 from tracekit.estimators import (
     ESTIMATORS,
+    _na_hutch_pp_split,
     exact_trace,
     hutch_pp,
     hutch_pp_gauss,
@@ -156,15 +159,17 @@ def test_na_hutch_pp_unbiased():
 
 
 def test_na_hutch_pp_fraction_validation():
-    op = DiagonalOperator(np.ones(8))
-    with pytest.raises(ValueError, match="c1 < c2"):
-        na_hutch_pp(op, 12, fractions=(0.5, 0.25, 0.25))
-    with pytest.raises(ValueError, match="sum to 1"):
-        na_hutch_pp(op, 12, fractions=(0.2, 0.5, 0.2))
-    with pytest.raises(ValueError, match="positive"):
-        na_hutch_pp(op, 12, fractions=(-0.25, 0.5, 0.75))
+    # The split is floor(c * m) for the fractions (1/4, 1/2, 1/4), floored
+    # with the 1e-9 slack the configurable fraction rule used.
+    for m in range(2001):
+        floors = tuple(math.floor(c * m + 1e-9) for c in (0.25, 0.5, 0.25))
+        if min(floors) < 1:
+            with pytest.raises(ValueError, match="empty probe block"):
+                _na_hutch_pp_split(m)
+        else:
+            assert _na_hutch_pp_split(m) == floors
     with pytest.raises(ValueError, match="empty probe block"):
-        na_hutch_pp(op, 3, fractions=(0.25, 0.5, 0.25))
+        na_hutch_pp(DiagonalOperator(np.ones(8)), 3)
 
 
 def test_na_hutch_pp_single_batched_query():
@@ -310,10 +315,11 @@ def test_exact_trace_matches_reference():
 
 
 def test_exact_trace_chunking():
-    lam = np.arange(1.0, 301.0)
-    est = exact_trace(DiagonalOperator(lam), chunk=64)
+    # 600 = 256 + 256 + 88: the last query block is ragged.
+    lam = np.arange(1.0, 601.0)
+    est = exact_trace(DiagonalOperator(lam))
     assert est.value == lam.sum()
-    assert est.matvecs_used == 300
+    assert est.matvecs_used == 600
 
 
 # --------------------------------------------------- cross-estimator contracts

@@ -17,7 +17,6 @@ from tracekit.graph import (
     adjacency_operator,
     estrada_index_exact,
     load_edge_list,
-    natural_connectivity,
     parse_edge_list,
     triangle_count_exact,
 )
@@ -304,13 +303,6 @@ def test_triangle_count_matches_cube_trace():
     assert exact_trace(op).value / 6.0 == triangle_count_exact(g)
 
 
-def test_triangle_count_guard():
-    g = Graph(node_count=10, edges=((0, 1),))
-    with pytest.raises(ValueError, match="force=True"):
-        triangle_count_exact(g, max_nodes=5)
-    assert triangle_count_exact(g, max_nodes=5, force=True) == 0
-
-
 # --------------------------------------------------------------------- estrada
 
 
@@ -328,7 +320,7 @@ def test_estrada_triangle_closed_form():
 def test_estrada_guard_has_no_override():
     g = Graph(node_count=3000, edges=((0, 1),))
     with pytest.raises(ValueError, match="3000"):
-        estrada_index_exact(g, max_nodes=2000)
+        estrada_index_exact(g)
 
 
 def test_estrada_matches_the_dense_loop_build_bitwise():
@@ -347,26 +339,6 @@ def test_estrada_complete_graph():
     n = 6
     expected = math.exp(n - 1.0) + (n - 1) * math.exp(-1.0)
     assert estrada_index_exact(_complete(n)) == pytest.approx(expected, rel=1e-12)
-
-
-# -------------------------------------------------------- natural connectivity
-
-
-def test_natural_connectivity_values():
-    # Single node: log(e^0 / 1) = 0.
-    assert natural_connectivity(1.0, 1) == 0.0
-    g = _triangle()
-    ee = estrada_index_exact(g)
-    expected = math.log(ee / 3.0)
-    assert natural_connectivity(ee, 3) == pytest.approx(expected, rel=1e-14)
-    assert natural_connectivity(ee, 3) == pytest.approx(0.99631, abs=1e-4)
-
-
-def test_natural_connectivity_validation():
-    with pytest.raises(ValueError):
-        natural_connectivity(0.0, 3)
-    with pytest.raises(ValueError):
-        natural_connectivity(5.0, 0)
 
 
 # ------------------------------------------------------------- cross-checking

@@ -204,6 +204,13 @@ def test_orthonormalize_shape_errors():
         orthonormalize(np.ones((2, 3)))  # d < k
 
 
+def test_orthonormalize_rejects_non_finite():
+    X = np.ones((4, 2))
+    X[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        orthonormalize(X)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.integers(min_value=1, max_value=30),

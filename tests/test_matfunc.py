@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from tracekit.estimators import exact_trace, hutchinson
-from tracekit.linop import DenseOperator, DiagonalOperator
+from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator, RecordingOperator
 from tracekit.matfunc import (
     LanczosFunctionOperator,
     exp_operator,
@@ -258,6 +258,33 @@ def test_power_operator_trace_of_cube_oracle():
     A = np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
     outer = power_operator(DenseOperator(A), 3)
     assert exact_trace(outer).value == 6.0
+
+
+class _NanOperator(LinearOperator):
+    def _apply_block(self, X):
+        return np.full(X.shape, np.nan)
+
+
+def test_wrappers_pass_on_checked_inner_output(monkeypatch):
+    # PowerOperator and RecordingOperator return an inner matmat result,
+    # which the inner operator has already checked for nan/inf.
+    checked = []
+    check = LinearOperator._check_output
+
+    def counting(self, Y):
+        checked.append(type(self).__name__)
+        check(self, Y)
+
+    monkeypatch.setattr(LinearOperator, "_check_output", counting)
+    A = _sym(6, 17)
+    power_operator(DenseOperator(A), 3).matmat(np.ones((6, 2)))
+    assert checked == ["DenseOperator"] * 3
+    checked.clear()
+    RecordingOperator(DenseOperator(A)).matvec(np.ones(6))
+    assert checked == ["DenseOperator"]
+    for wrapped in (power_operator(_NanOperator(4), 3), RecordingOperator(_NanOperator(4))):
+        with pytest.raises(ValueError, match="_NanOperator output contains non-finite"):
+            wrapped.matmat(np.ones((4, 1)))
 
 
 # ------------------------------------------------------------------- wrappers

@@ -14,24 +14,25 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Protocol
 
 import numpy as np
 
 from tracekit.estimators import ESTIMATORS, exact_trace, run_estimator
 from tracekit.graph import (
     _DENSE_ESTRADA_MAX,
-    adjacency_operator,
+    AdjacencyOperator,
     estrada_index_exact,
     load_edge_list,
     triangle_count_exact,
 )
 from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator
-from tracekit.matfunc import exp_operator, power_operator, shifted_log_operator
+from tracekit.matfunc import PowerOperator, exp_operator, shifted_log_operator
 from tracekit.synth import (
     SpectrumSpec,
     gaussian_kernel_matrix,
@@ -110,7 +111,7 @@ class GraphEstradaSource:
     def materialize(self, seed: int) -> tuple[LinearOperator, float]:
         """The source operator and its exact trace."""
         g = load_edge_list(self.path)
-        op = exp_operator(adjacency_operator(g), self.lanczos_iterations)
+        op = exp_operator(AdjacencyOperator(g), self.lanczos_iterations)
         if g.node_count <= _DENSE_ESTRADA_MAX:
             return op, estrada_index_exact(g)
         label = f"estrada_lanczos{self.lanczos_iterations}"
@@ -126,21 +127,22 @@ class GraphTrianglesSource:
     def materialize(self, seed: int) -> tuple[LinearOperator, float]:
         """The source operator and its exact trace."""
         g = load_edge_list(self.path)
-        op = power_operator(adjacency_operator(g), 3)
+        op = PowerOperator(AdjacencyOperator(g), 3)
         # The sparse count is exact and needs no operator queries at any size.
         return op, 6.0 * triangle_count_exact(g)
 
 
-MatrixSource = Union[
-    PowerLawSource, KernelLogDetSource, GraphEstradaSource, GraphTrianglesSource
-]
+class MatrixSource(Protocol):
+    """What a sweep needs of its source: the operator and its exact trace."""
+
+    def materialize(self, seed: int) -> tuple[LinearOperator, float]: ...
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One benchmark sweep: source x estimators x budgets, `trials` deep.
 
-    The source is anything with ``materialize(seed) -> (operator, trace)``.
+    Budgets and trials must be integers; a float raises TypeError.
     """
 
     source: MatrixSource
@@ -151,7 +153,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "budgets", tuple(int(m) for m in self.budgets))
+        object.__setattr__(self, "budgets", tuple(map(operator.index, self.budgets)))
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ValueError(
@@ -163,9 +165,9 @@ class ExperimentSpec:
             raise ValueError("need at least one budget")
         if any(b <= a for a, b in zip(self.budgets, self.budgets[1:])):
             raise ValueError(f"budgets must be strictly ascending, got {self.budgets}")
-        if int(self.trials) < 1:
+        object.__setattr__(self, "trials", operator.index(self.trials))
+        if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        object.__setattr__(self, "trials", int(self.trials))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ standard basis.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -61,19 +62,21 @@ class TraceEstimate:
 
 
 def _hutchinson_split(m: int) -> int:
-    if int(m) < 1:
+    m = operator.index(m)
+    if m < 1:
         raise ValueError(f"hutchinson needs m >= 1 probes, got {m}")
-    return int(m)
+    return m
 
 
 def _hutch_pp_split(m: int) -> int:
-    if int(m) < 3:
+    m = operator.index(m)
+    if m < 3:
         raise ValueError(f"hutch_pp needs m >= 3 (one probe per phase), got {m}")
-    return int(m) // 3
+    return m // 3
 
 
 def _hutch_pp_gauss_split(m: int) -> tuple[int, int]:
-    m = int(m)
+    m = operator.index(m)
     if m < 6 or m % 4 != 2:
         rem = (m - 2) % 4
         lower = m - rem
@@ -89,7 +92,7 @@ def _hutch_pp_gauss_split(m: int) -> tuple[int, int]:
 
 
 def _na_hutch_pp_split(m: int) -> tuple[int, int, int]:
-    m = int(m)
+    m = operator.index(m)
     n1, n2, n3 = m // 4, m // 2, m // 4
     if min(n1, n2, n3) < 1:
         raise ValueError(
@@ -100,9 +103,10 @@ def _na_hutch_pp_split(m: int) -> tuple[int, int, int]:
 
 
 def _subspace_projection_split(m: int) -> int:
-    if int(m) < 2:
+    m = operator.index(m)
+    if m < 2:
         raise ValueError(f"subspace_projection needs a budget of >= 2 matvecs, got {m}")
-    return int(m) // 2
+    return m // 2
 
 
 def _trace_inner(X: np.ndarray, Y: np.ndarray) -> float:

@@ -19,7 +19,6 @@ __all__ = [
     "EdgeListParseError",
     "parse_edge_list",
     "load_edge_list",
-    "adjacency_operator",
     "AdjacencyOperator",
     "triangle_count_exact",
     "estrada_index_exact",
@@ -157,14 +156,6 @@ class AdjacencyOperator(LinearOperator):
 
     def _apply_block(self, X):
         return np.asarray(self.matrix @ X)
-
-    def _apply_vec(self, x):
-        return np.asarray(self.matrix @ x)
-
-
-def adjacency_operator(g: Graph) -> AdjacencyOperator:
-    """Adjacency matrix of g as a counted LinearOperator."""
-    return AdjacencyOperator(g)
 
 
 def triangle_count_exact(g: Graph) -> int:

@@ -3,9 +3,7 @@
 A :class:`LinearOperator` is a square matrix accessed only through
 matrix-vector products; every application is counted so estimators can report
 their exact query budget.  The module also provides random probe generation,
-rank-revealing orthonormalization, Moore-Penrose pseudoinversion, and a dense
-reference oracle (exact trace, norms, spectrum, and low-rank tails) used to
-validate the randomized estimators.
+rank-revealing orthonormalization and Moore-Penrose pseudoinversion.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import enum
 import threading
 from copy import copy
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -26,12 +23,10 @@ __all__ = [
     "DenseOperator",
     "DiagonalOperator",
     "WrappedOperator",
-    "RecordingOperator",
     "ProbeMatrix",
     "sample_probes",
     "orthonormalize",
     "pseudoinverse",
-    "DenseReference",
     "as_generator",
 ]
 
@@ -70,10 +65,10 @@ def as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
 class LinearOperator:
     """Square operator accessed through counted matrix-vector products.
 
-    Subclasses implement ``_apply_block`` (and may override ``_apply_vec``).
-    The operator is immutable after construction except for its query
-    counter; counter updates are lock-protected so concurrent applications
-    never lose increments.
+    Subclasses implement ``_apply_block`` only, the product with a d x k
+    block; ``matvec`` queries it with one column.  The operator is immutable
+    after construction except for its query counter; counter updates are
+    lock-protected so concurrent applications never lose increments.
     """
 
     def __init__(self, dim: int):
@@ -98,12 +93,8 @@ class LinearOperator:
         with self._lock:
             self._query_count += k
 
-    def _apply_vec(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self._apply_block(x[:, None])[:, 0]
-
     def _apply_block(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
-        # Default: column-at-a-time; dense subclasses override with one GEMM.
-        return np.column_stack([self._apply_vec(X[:, j]) for j in range(X.shape[1])])
+        raise NotImplementedError
 
     def matvec(self, x: ArrayLike) -> NDArray[np.float64]:
         """Apply the operator to one vector; increments query_count by 1.
@@ -115,12 +106,7 @@ class LinearOperator:
             raise ValueError(
                 f"matvec expects a vector of length {self._dim}, got shape {x.shape}"
             )
-        if not np.all(np.isfinite(x)):
-            raise ValueError("matvec input contains non-finite entries")
-        y = self._apply_vec(x)
-        self._count(1)
-        self._check_output(y)
-        return y
+        return self._query(x[:, None])[:, 0]
 
     def matmat(self, X: ArrayLike) -> NDArray[np.float64]:
         """Apply the operator to each column of X; increments query_count by k.
@@ -132,10 +118,15 @@ class LinearOperator:
             raise ValueError(
                 f"matmat expects a ({self._dim}, k) block, got shape {X.shape}"
             )
-        if not np.all(np.isfinite(X)):
-            raise ValueError("matmat input contains non-finite entries")
         if X.shape[1] == 0:
             return np.zeros((self._dim, 0))
+        return self._query(X)
+
+    def _query(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
+        # The one query path.  matvec calls it directly, not through matmat,
+        # so a profiler wrapping both public methods sees one query per call.
+        if not np.all(np.isfinite(X)):
+            raise ValueError(f"{type(self).__name__} input contains non-finite entries")
         Y = self._apply_block(X)
         self._count(X.shape[1])
         self._check_output(Y)
@@ -167,9 +158,6 @@ class DenseOperator(LinearOperator):
         super().__init__(A.shape[0])
         self.matrix = A
 
-    def _apply_vec(self, x):
-        return self.matrix @ x
-
     def _apply_block(self, X):
         return self.matrix @ X
 
@@ -185,9 +173,6 @@ class DiagonalOperator(LinearOperator):
             raise ValueError("diagonal contains non-finite entries")
         super().__init__(diag.shape[0])
         self.diagonal = diag
-
-    def _apply_vec(self, x):
-        return self.diagonal * x
 
     def _apply_block(self, X):
         return self.diagonal[:, None] * X
@@ -214,31 +199,6 @@ class WrappedOperator(LinearOperator):
     def clone(self):
         dup = super().clone()
         dup._inner = self._inner.clone()
-        return dup
-
-
-class RecordingOperator(WrappedOperator):
-    """Wrapper that records every query block passed through it.
-
-    Used to test query accounting and the non-adaptivity contract: after a
-    run, ``queries`` holds copies of the exact blocks the wrapped operator
-    was asked to multiply, in call order.
-    """
-
-    def __init__(self, inner: LinearOperator):
-        super().__init__(inner)
-        self.queries: list[NDArray[np.float64]] = []
-
-    def _apply_block(self, X):
-        self.queries.append(X.copy())
-        return self._inner.matmat(X)
-
-    def _check_output(self, Y):
-        """No-op: Y is the inner operator's matmat result, checked there."""
-
-    def clone(self):
-        dup = super().clone()
-        dup.queries = []
         return dup
 
 
@@ -333,72 +293,3 @@ def pseudoinverse(M: ArrayLike) -> NDArray[np.float64]:
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains non-finite entries")
     return np.linalg.pinv(M, rtol=1e-12)
-
-
-class DenseReference:
-    """Exact spectral quantities of an explicit square matrix.
-
-    Serves as the test oracle for the randomized estimators: trace by
-    diagonal sum, Frobenius norm entrywise, and (lazily, on first access)
-    the full spectrum, nuclear norm, and best rank-k approximation tails.
-    Symmetric input uses its eigendecomposition; general input falls back to
-    singular values.
-    """
-
-    def __init__(self, matrix: ArrayLike):
-        A = np.asarray(matrix, dtype=np.float64)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {A.shape}")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("matrix contains non-finite entries")
-        self.matrix = A
-        self.dim = A.shape[0]
-
-    @cached_property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-    @cached_property
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-    @cached_property
-    def _magnitudes(self) -> NDArray[np.float64]:
-        # Magnitudes of the spectrum, descending: |eigenvalues| for symmetric
-        # input (the best rank-k approximation keeps the largest magnitudes),
-        # singular values otherwise.
-        A = self.matrix
-        atol = 1e-12 * max(1.0, float(np.abs(A).max()))
-        if np.allclose(A, A.T, rtol=0.0, atol=atol):
-            w = np.linalg.eigvalsh(A)
-            self._eigs_desc = w[::-1].copy()
-            return np.sort(np.abs(w))[::-1]
-        s = np.linalg.svd(A, compute_uv=False)
-        self._eigs_desc = s.copy()
-        return s
-
-    @cached_property
-    def eigenvalues_descending(self) -> NDArray[np.float64]:
-        """Eigenvalues (symmetric input) or singular values, descending."""
-        _ = self._magnitudes
-        return self._eigs_desc
-
-    @cached_property
-    def nuclear_norm(self) -> float:
-        return float(self._magnitudes.sum())
-
-    @cached_property
-    def _tail_sq(self) -> NDArray[np.float64]:
-        # _tail_sq[k] = sum of squared magnitudes strictly past rank k.
-        sq = self._magnitudes**2
-        suffix = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
-        return np.maximum(suffix, 0.0)
-
-    def rank_k_tail_frobenius(self, k: int) -> float:
-        """Frobenius distance to the best rank-k approximation, ||A - A_k||_F."""
-        k = int(k)
-        if k < 0:
-            raise ValueError(f"rank must be >= 0, got {k}")
-        if k >= self.dim:
-            return 0.0
-        return float(np.sqrt(self._tail_sq[k]))

@@ -5,8 +5,9 @@ f(B)x with a j-step Lanczos decomposition: f(B)x ~ ||x|| * V f(T) e_1, where
 T is the j x j tridiagonal and V the orthonormal Krylov basis.  Full
 reorthogonalization keeps the basis usable at the iteration counts the
 trace experiments need.  Wrappers expose exp(B), log(B + lambda*I) and exact
-monomial powers B^q; each wrapper counts its own queries (the trace budget)
-while raw multiplies against B are reported separately via inner_matvecs.
+monomial powers B^q (``PowerOperator``); each wrapper counts its own queries
+(the trace budget) while raw multiplies against B are reported separately via
+inner_matvecs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "lanczos_apply",
     "exp_operator",
     "shifted_log_operator",
-    "power_operator",
     "LanczosFunctionOperator",
     "PowerOperator",
 ]
@@ -119,7 +119,7 @@ def lanczos_apply(
 
 
 class LanczosFunctionOperator(WrappedOperator):
-    """f(B) as a LinearOperator, each matvec one Lanczos solve on B.
+    """f(B) as a LinearOperator, each query column one Lanczos solve on B.
 
     Each wrapper query spends at most `iterations` ``inner_matvecs`` on B.
     """
@@ -137,8 +137,10 @@ class LanczosFunctionOperator(WrappedOperator):
         self._f = f
         self._iterations = iterations
 
-    def _apply_vec(self, x):
-        return lanczos_apply(self._inner, self._f, x, self._iterations)
+    def _apply_block(self, X):
+        return np.column_stack(
+            [lanczos_apply(self._inner, self._f, x, self._iterations) for x in X.T]
+        )
 
 
 def exp_operator(B: LinearOperator, iterations: int) -> LanczosFunctionOperator:
@@ -185,8 +187,3 @@ class PowerOperator(WrappedOperator):
 
     def _check_output(self, Y):
         """No-op: Y is the inner operator's last matmat result, checked there."""
-
-
-def power_operator(B: LinearOperator, q: int) -> PowerOperator:
-    """Exact monomial power B^q (q >= 1) as a LinearOperator."""
-    return PowerOperator(B, q)

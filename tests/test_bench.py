@@ -20,6 +20,7 @@ from tracekit.bench import (
 )
 from tracekit import cli
 from tracekit.cli import build_parser, main
+from tracekit.estimators import ESTIMATORS, hutchinson
 from tracekit.linop import DiagonalOperator, LinearOperator
 
 
@@ -54,6 +55,22 @@ def test_spec_validation():
         ExperimentSpec(src, ("hutchinson",), (16, 8), 3)
     with pytest.raises(ValueError, match="trials"):
         ExperimentSpec(src, ("hutchinson",), (8,), 0)
+
+
+def test_fractional_budgets_and_trials_raise_instead_of_truncating():
+    src = PowerLawSource(1.0, 40)
+    with pytest.raises(TypeError):
+        ExperimentSpec(src, ("hutchinson",), (12.9, 24.5), trials=2.7)
+    with pytest.raises(TypeError):
+        ExperimentSpec(src, ("hutchinson",), (12, 24), trials=2.7)
+    with pytest.raises(TypeError):
+        hutchinson(DiagonalOperator(np.ones(4)), 2.9)
+    for entry in ESTIMATORS.values():
+        with pytest.raises(TypeError):
+            entry.split(12.5)
+    spec = ExperimentSpec(src, ("hutchinson",), (np.int64(12), np.int32(24)), np.int64(2))
+    assert spec.budgets == (12, 24) and spec.trials == 2
+    assert hutchinson(DiagonalOperator(np.ones(4)), np.int64(3)).matvecs_used == 3
 
 
 # ------------------------------------------------------------------- run_sweep

@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tracekit.linop import (
-    DenseOperator,
-    DenseReference,
-    DiagonalOperator,
-    RecordingOperator,
-)
+from tracekit.linop import DenseOperator, DiagonalOperator
 from tracekit.estimators import (
     ESTIMATORS,
     _na_hutch_pp_split,
@@ -24,6 +19,8 @@ from tracekit.estimators import (
     subspace_projection,
 )
 from tracekit.synth import SpectrumSpec, power_law_matrix
+
+from oracles import DenseReference, RecordingOperator
 
 
 def _rng(*key):

@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 from tracekit.estimators import exact_trace
 from tracekit.graph import (
+    AdjacencyOperator,
     EdgeListParseError,
     Graph,
-    adjacency_operator,
     estrada_index_exact,
     load_edge_list,
     parse_edge_list,
     triangle_count_exact,
 )
-from tracekit.matfunc import power_operator
+from tracekit.matfunc import PowerOperator
 
 
 def _triangle() -> Graph:
@@ -236,7 +236,7 @@ def test_load_edge_list_file(tmp_path):
 
 def test_adjacency_path_graph_matvec():
     g = parse_edge_list("0 1\n1 2\n")
-    op = adjacency_operator(g)
+    op = AdjacencyOperator(g)
     np.testing.assert_array_equal(op.matvec([0.0, 1.0, 0.0]), [1.0, 0.0, 1.0])
     np.testing.assert_array_equal(op.matvec([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0])
 
@@ -254,7 +254,7 @@ def test_adjacency_matches_dense_on_random_graph():
             if rng.random() < 0.05:
                 dense[i, j] = dense[j, i] = 1.0
                 lines.append(f"{i} {j}")
-    op = adjacency_operator(parse_edge_list("\n".join(lines)))
+    op = AdjacencyOperator(parse_edge_list("\n".join(lines)))
     X = rng.standard_normal((n, 6))
     np.testing.assert_array_equal(op.matmat(X), dense @ X)
 
@@ -262,22 +262,22 @@ def test_adjacency_matches_dense_on_random_graph():
 def test_adjacency_is_built_once_and_read_only():
     g = _complete(5)
     A = g.adjacency
-    assert adjacency_operator(g).matrix is A
-    assert adjacency_operator(g).matrix is A
+    assert AdjacencyOperator(g).matrix is A
+    assert AdjacencyOperator(g).matrix is A
     assert not any(a.flags.writeable for a in (A.data, A.indices, A.indptr, g.edges))
 
 
 def test_adjacency_trace_is_zero():
-    op = adjacency_operator(_complete(6))
+    op = AdjacencyOperator(_complete(6))
     assert exact_trace(op).value == 0.0
 
 
 def test_adjacency_isolated_graph_edge_cases():
     g = Graph(node_count=4, edges=())
-    op = adjacency_operator(g)
+    op = AdjacencyOperator(g)
     np.testing.assert_array_equal(op.matvec(np.ones(4)), np.zeros(4))
     with pytest.raises(ValueError):
-        adjacency_operator(Graph(node_count=0, edges=()))
+        AdjacencyOperator(Graph(node_count=0, edges=()))
 
 
 # ------------------------------------------------------------------- triangles
@@ -292,14 +292,14 @@ def test_triangle_count_small_graphs():
     rng = np.random.default_rng(17)
     pairs = rng.integers(0, 60, size=(500, 2))
     g = parse_edge_list("\n".join(f"{a} {b}" for a, b in pairs))
-    A = adjacency_operator(g).matrix.toarray()
+    A = AdjacencyOperator(g).matrix.toarray()
     count = triangle_count_exact(g)
     assert count > 0 and 6 * count == round(np.trace(A @ A @ A))
 
 
 def test_triangle_count_matches_cube_trace():
     g = _complete(7)
-    op = power_operator(adjacency_operator(g), 3)
+    op = PowerOperator(AdjacencyOperator(g), 3)
     assert exact_trace(op).value / 6.0 == triangle_count_exact(g)
 
 
@@ -356,7 +356,7 @@ def test_pipeline_on_karate_sized_random_graph():
                 seen.add(key)
                 lines.append(f"{a} {b}")
     g = parse_edge_list("\n".join(lines))
-    A = adjacency_operator(g).matrix.toarray()
+    A = AdjacencyOperator(g).matrix.toarray()
     w = np.linalg.eigvalsh(A)
     assert estrada_index_exact(g) == pytest.approx(np.exp(w).sum(), rel=1e-12)
     assert triangle_count_exact(g) == int(round((w**3).sum() / 6.0))

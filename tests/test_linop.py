@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracekit.graph import AdjacencyOperator, Graph
 from tracekit.linop import (
     DenseOperator,
-    DenseReference,
     DiagonalOperator,
     Distribution,
-    RecordingOperator,
     orthonormalize,
     pseudoinverse,
     sample_probes,
 )
+from tracekit.matfunc import PowerOperator, exp_operator, shifted_log_operator
+
+from oracles import DenseReference, RecordingOperator
 
 
 # ---------------------------------------------------------------- matvec/matmat
@@ -72,6 +74,36 @@ def test_matmat_matches_columnwise_matvec():
         # GEMM and GEMV may round differently in the last ulp.
         np.testing.assert_allclose(Y[:, j], op.matvec(X[:, j]), rtol=1e-13, atol=1e-15)
     assert op.query_count == 3 + 3
+
+
+def _operators():
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((12, 12))
+    sym = (M + M.T) / 8.0
+    psd = M @ M.T / 12.0
+    ring = Graph(node_count=12, edges=[(i, (i + 1) % 12) for i in range(12)] + [(0, 6)])
+    return {
+        "dense": DenseOperator(M),
+        "diagonal": DiagonalOperator(np.arange(1.0, 13.0)),
+        "adjacency": AdjacencyOperator(ring),
+        "power": PowerOperator(DenseOperator(sym), 3),
+        "exp": exp_operator(DenseOperator(sym), 8),
+        "shifted_log": shifted_log_operator(DenseOperator(psd), 0.5, 8),
+    }
+
+
+@pytest.mark.parametrize("name", list(_operators()))
+def test_matvec_is_the_one_column_matmat_of_every_operator(name):
+    op = _operators()[name]
+    X = np.random.default_rng(12).standard_normal((12, 3))
+    # A column of a C-order block is strided, as Lanczos passes its basis.
+    for x in (X[:, 1], X[:, 1].copy()):
+        before = op.query_count
+        y = op.matvec(x)
+        assert op.query_count == before + 1
+        Y = op.matmat(x[:, None])
+        assert op.query_count == before + 2
+        assert y.shape == (12,) and y.tobytes() == Y[:, 0].tobytes()  # bitwise
 
 
 def test_matmat_dimension_mismatch():

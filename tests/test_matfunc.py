@@ -5,15 +5,17 @@ import pytest
 import scipy.linalg
 
 from tracekit.estimators import exact_trace, hutchinson
-from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator, RecordingOperator
+from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator
 from tracekit.matfunc import (
     LanczosFunctionOperator,
+    PowerOperator,
     exp_operator,
     lanczos_apply,
     lanczos_decompose,
-    power_operator,
     shifted_log_operator,
 )
+
+from oracles import RecordingOperator
 
 
 def _sym(d, seed, scale=1.0):
@@ -225,13 +227,13 @@ def test_shifted_log_logdet_200d_kernel():
 def test_power_operator_first_power_is_identity_wrap():
     A = _sym(10, 14)
     inner = DenseOperator(A)
-    outer = power_operator(inner, 1)
+    outer = PowerOperator(inner, 1)
     x = np.arange(10.0)
     np.testing.assert_allclose(outer.matvec(x), A @ x, rtol=1e-14)
 
 
 def test_power_operator_cube_diagonal():
-    outer = power_operator(DiagonalOperator([2.0, 3.0]), 3)
+    outer = PowerOperator(DiagonalOperator([2.0, 3.0]), 3)
     np.testing.assert_allclose(outer.matvec(np.ones(2)), [8.0, 27.0])
     assert outer.inner_matvecs == 3
     assert outer.query_count == 1
@@ -239,7 +241,7 @@ def test_power_operator_cube_diagonal():
 
 def test_power_operator_matches_matrix_power():
     A = _sym(20, 15)
-    outer = power_operator(DenseOperator(A), 3)
+    outer = PowerOperator(DenseOperator(A), 3)
     X = np.random.default_rng(16).standard_normal((20, 4))
     np.testing.assert_allclose(
         outer.matmat(X), np.linalg.matrix_power(A, 3) @ X, rtol=1e-12, atol=1e-14
@@ -250,13 +252,13 @@ def test_power_operator_matches_matrix_power():
 
 def test_power_operator_rejects_bad_exponent():
     with pytest.raises(ValueError):
-        power_operator(DiagonalOperator(np.ones(2)), 0)
+        PowerOperator(DiagonalOperator(np.ones(2)), 0)
 
 
 def test_power_operator_trace_of_cube_oracle():
     # Triangle counting identity on the 3-cycle: trace(A^3) = 6.
     A = np.array([[0.0, 1, 1], [1, 0, 1], [1, 1, 0]])
-    outer = power_operator(DenseOperator(A), 3)
+    outer = PowerOperator(DenseOperator(A), 3)
     assert exact_trace(outer).value == 6.0
 
 
@@ -266,8 +268,8 @@ class _NanOperator(LinearOperator):
 
 
 def test_wrappers_pass_on_checked_inner_output(monkeypatch):
-    # PowerOperator and RecordingOperator return an inner matmat result,
-    # which the inner operator has already checked for nan/inf.
+    # PowerOperator returns an inner matmat result, which the inner operator
+    # has already checked for nan/inf; RecordingOperator checks its own too.
     checked = []
     check = LinearOperator._check_output
 
@@ -277,12 +279,12 @@ def test_wrappers_pass_on_checked_inner_output(monkeypatch):
 
     monkeypatch.setattr(LinearOperator, "_check_output", counting)
     A = _sym(6, 17)
-    power_operator(DenseOperator(A), 3).matmat(np.ones((6, 2)))
+    PowerOperator(DenseOperator(A), 3).matmat(np.ones((6, 2)))
     assert checked == ["DenseOperator"] * 3
     checked.clear()
     RecordingOperator(DenseOperator(A)).matvec(np.ones(6))
-    assert checked == ["DenseOperator"]
-    for wrapped in (power_operator(_NanOperator(4), 3), RecordingOperator(_NanOperator(4))):
+    assert checked == ["DenseOperator", "RecordingOperator"]
+    for wrapped in (PowerOperator(_NanOperator(4), 3), RecordingOperator(_NanOperator(4))):
         with pytest.raises(ValueError, match="_NanOperator output contains non-finite"):
             wrapped.matmat(np.ones((4, 1)))
 

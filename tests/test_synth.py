@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from tracekit.linop import DenseReference
 from tracekit.synth import (
     SpectrumSpec,
     gaussian_kernel_matrix,
@@ -11,6 +10,8 @@ from tracekit.synth import (
     power_law_matrix,
     synthetic_2d_points,
 )
+
+from oracles import DenseReference
 
 
 # ---------------------------------------------------------------- SpectrumSpec

@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from tracekit.graph import (
     load_edge_list,
     triangle_count_exact,
 )
-from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator
+from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator, _size
 from tracekit.matfunc import PowerOperator, exp_operator, shifted_log_operator
 from tracekit.synth import (
     SpectrumSpec,
@@ -142,7 +141,7 @@ class MatrixSource(Protocol):
 class ExperimentSpec:
     """One benchmark sweep: source x estimators x budgets, `trials` deep.
 
-    Budgets and trials must be integers; a float raises TypeError.
+    Budgets, trials and seed must be integers; a float raises TypeError.
     """
 
     source: MatrixSource
@@ -153,7 +152,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "budgets", tuple(map(operator.index, self.budgets)))
+        object.__setattr__(
+            self, "budgets", tuple(_size(m, "budget") for m in self.budgets)
+        )
         unknown = [e for e in self.estimators if e not in ESTIMATORS]
         if unknown:
             raise ValueError(
@@ -165,9 +166,8 @@ class ExperimentSpec:
             raise ValueError("need at least one budget")
         if any(b <= a for a, b in zip(self.budgets, self.budgets[1:])):
             raise ValueError(f"budgets must be strictly ascending, got {self.budgets}")
-        object.__setattr__(self, "trials", operator.index(self.trials))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "trials", _size(self.trials, "trials"))
+        object.__setattr__(self, "seed", _size(self.seed, "seed", minimum=0))
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def _trial_rng(seed: int, estimator: str, m: int, trial: int) -> np.random.Gener
     # subset the user requested or its order.
     idx = list(ESTIMATORS).index(estimator)
     return np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(1, idx, int(m), int(trial)))
+        np.random.SeedSequence(seed, spawn_key=(1, idx, m, trial))
     )
 
 

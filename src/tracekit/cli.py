@@ -21,7 +21,6 @@ from tracekit.bench import (
     emit_csv,
     run_sweep,
 )
-from tracekit.graph import EdgeListParseError
 
 __all__ = ["build_parser", "main"]
 
@@ -113,7 +112,7 @@ def main(argv=None) -> int:
         )
         rows = run_sweep(spec)
         emit_csv(rows, args.out)
-    except (ValueError, OSError, EdgeListParseError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for row in rows:

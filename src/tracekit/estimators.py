@@ -12,7 +12,6 @@ standard basis.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,6 +20,7 @@ import numpy as np
 from tracekit.linop import (
     Distribution,
     LinearOperator,
+    _size,
     as_generator,
     orthonormalize,
     pseudoinverse,
@@ -62,21 +62,16 @@ class TraceEstimate:
 
 
 def _hutchinson_split(m: int) -> int:
-    m = operator.index(m)
-    if m < 1:
-        raise ValueError(f"hutchinson needs m >= 1 probes, got {m}")
-    return m
+    return _size(m, "hutchinson budget m")
 
 
 def _hutch_pp_split(m: int) -> int:
-    m = operator.index(m)
-    if m < 3:
-        raise ValueError(f"hutch_pp needs m >= 3 (one probe per phase), got {m}")
-    return m // 3
+    # One probe per phase.
+    return _size(m, "hutch_pp budget m", minimum=3) // 3
 
 
 def _hutch_pp_gauss_split(m: int) -> tuple[int, int]:
-    m = operator.index(m)
+    m = _size(m, "hutch_pp_gauss budget m", minimum=0)
     if m < 6 or m % 4 != 2:
         rem = (m - 2) % 4
         lower = m - rem
@@ -92,7 +87,7 @@ def _hutch_pp_gauss_split(m: int) -> tuple[int, int]:
 
 
 def _na_hutch_pp_split(m: int) -> tuple[int, int, int]:
-    m = operator.index(m)
+    m = _size(m, "na_hutch_pp budget m", minimum=0)
     n1, n2, n3 = m // 4, m // 2, m // 4
     if min(n1, n2, n3) < 1:
         raise ValueError(
@@ -103,10 +98,7 @@ def _na_hutch_pp_split(m: int) -> tuple[int, int, int]:
 
 
 def _subspace_projection_split(m: int) -> int:
-    m = operator.index(m)
-    if m < 2:
-        raise ValueError(f"subspace_projection needs a budget of >= 2 matvecs, got {m}")
-    return m // 2
+    return _size(m, "subspace_projection budget m", minimum=2) // 2
 
 
 def _trace_inner(X: np.ndarray, Y: np.ndarray) -> float:
@@ -281,12 +273,8 @@ def subspace_projection(
     mass outside the captured subspace, so it only wins when the spectrum
     decays fast.
     """
-    k = int(k)
-    q = int(iterations_q)
-    if k < 1:
-        raise ValueError(f"subspace_projection needs k >= 1, got {k}")
-    if q < 1:
-        raise ValueError(f"subspace_projection needs iterations_q >= 1, got {q}")
+    k = _size(k, "k")
+    q = _size(iterations_q, "iterations_q")
     gen = as_generator(rng)
     S = sample_probes(op.dim, k, Distribution.RADEMACHER, gen).entries
     before = op.query_count

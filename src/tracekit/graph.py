@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse
 
-from tracekit.linop import LinearOperator
+from tracekit.linop import LinearOperator, _size
 
 __all__ = [
     "Graph",
@@ -56,6 +56,8 @@ class Graph:
     self_loops_dropped: int = 0
 
     def __post_init__(self):
+        node_count = _size(self.node_count, "node_count", minimum=0)
+        object.__setattr__(self, "node_count", node_count)
         edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
@@ -149,8 +151,6 @@ class AdjacencyOperator(LinearOperator):
     """Symmetric 0/1 adjacency matvec in O(|E|) per query (the graph's CSR)."""
 
     def __init__(self, graph: Graph):
-        if graph.node_count < 1:
-            raise ValueError("graph has no nodes; adjacency operator undefined")
         super().__init__(graph.node_count)
         self.matrix = graph.adjacency
 

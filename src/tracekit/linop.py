@@ -9,6 +9,7 @@ rank-revealing orthonormalization and Moore-Penrose pseudoinversion.
 from __future__ import annotations
 
 import enum
+import operator
 import threading
 from copy import copy
 from dataclasses import dataclass
@@ -50,6 +51,27 @@ def _coerce_distribution(distribution: Distribution | str) -> Distribution:
         ) from None
 
 
+def _size(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an exact int >= minimum: the one rule for every size argument.
+
+    A float (even an integral one) raises TypeError instead of truncating;
+    numpy integers pass.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _require_finite(X, what: str) -> None:
+    """The one finiteness rule for arrays entering or leaving the package."""
+    if not np.isfinite(X).all():
+        raise ValueError(f"{what} contains non-finite entries")
+
+
 def as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
     """Return ``rng`` as a numpy Generator.
 
@@ -72,10 +94,7 @@ class LinearOperator:
     """
 
     def __init__(self, dim: int):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError(f"operator dimension must be >= 1, got {dim}")
-        self._dim = dim
+        self._dim = _size(dim, "operator dimension")
         self._query_count = 0
         self._lock = threading.Lock()
 
@@ -125,8 +144,7 @@ class LinearOperator:
     def _query(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
         # The one query path.  matvec calls it directly, not through matmat,
         # so a profiler wrapping both public methods sees one query per call.
-        if not np.all(np.isfinite(X)):
-            raise ValueError(f"{type(self).__name__} input contains non-finite entries")
+        _require_finite(X, f"{type(self).__name__} input")
         Y = self._apply_block(X)
         self._count(X.shape[1])
         self._check_output(Y)
@@ -135,8 +153,7 @@ class LinearOperator:
     def _check_output(self, Y: NDArray[np.float64]) -> None:
         # A nan or inf from any operator stops the caller here instead of
         # reaching an estimate (or the CSV).
-        if not np.isfinite(Y).all():
-            raise ValueError(f"{type(self).__name__} output contains non-finite entries")
+        _require_finite(Y, f"{type(self).__name__} output")
 
     def clone(self) -> "LinearOperator":
         """Fresh operator sharing read-only data but with a zeroed counter."""
@@ -153,8 +170,7 @@ class DenseOperator(LinearOperator):
         A = np.asarray(matrix, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {A.shape}")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("matrix contains non-finite entries")
+        _require_finite(A, "matrix")
         super().__init__(A.shape[0])
         self.matrix = A
 
@@ -169,8 +185,7 @@ class DiagonalOperator(LinearOperator):
         diag = np.asarray(diagonal, dtype=np.float64)
         if diag.ndim != 1:
             raise ValueError(f"expected a 1-d diagonal, got shape {diag.shape}")
-        if not np.all(np.isfinite(diag)):
-            raise ValueError("diagonal contains non-finite entries")
+        _require_finite(diag, "diagonal")
         super().__init__(diag.shape[0])
         self.diagonal = diag
 
@@ -230,11 +245,7 @@ def sample_probes(
     Returns:
         ProbeMatrix with the drawn entries.
     """
-    d, k = int(d), int(k)
-    if d < 1:
-        raise ValueError(f"probe dimension must be >= 1, got {d}")
-    if k < 1:
-        raise ValueError(f"probe column count must be >= 1, got {k}")
+    d, k = _size(d, "probe dimension d"), _size(k, "probe column count k")
     distribution = _coerce_distribution(distribution)
     gen = as_generator(rng)
     if distribution is Distribution.RADEMACHER:
@@ -263,8 +274,7 @@ def orthonormalize(X: ArrayLike) -> NDArray[np.float64]:
     d, k = X.shape
     if not (d >= k >= 1):
         raise ValueError(f"expected d >= k >= 1, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("matrix contains non-finite entries")
+    _require_finite(X, "matrix")
     scale = np.linalg.norm(X)
     if scale == 0.0:
         return np.zeros((d, 0))
@@ -290,6 +300,5 @@ def pseudoinverse(M: ArrayLike) -> NDArray[np.float64]:
     matrix.
     """
     M = np.asarray(M, dtype=np.float64)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix contains non-finite entries")
+    _require_finite(M, "matrix")
     return np.linalg.pinv(M, rtol=1e-12)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from tracekit.linop import LinearOperator, WrappedOperator
+from tracekit.linop import LinearOperator, WrappedOperator, _size
 
 __all__ = [
     "LanczosDecomposition",
@@ -55,9 +55,7 @@ def lanczos_decompose(
     1e-12 * ||x||, in which case the Krylov space is exhausted and the
     truncated decomposition is exact on it.
     """
-    max_iterations = int(max_iterations)
-    if max_iterations < 1:
-        raise ValueError(f"need max_iterations >= 1, got {max_iterations}")
+    max_iterations = _size(max_iterations, "max_iterations")
     x = np.asarray(x, dtype=np.float64)
     norm_x = float(np.linalg.norm(x))
     if norm_x == 0.0:
@@ -130,9 +128,7 @@ class LanczosFunctionOperator(WrappedOperator):
         f: Callable[[np.ndarray], np.ndarray],
         iterations: int,
     ):
-        iterations = int(iterations)
-        if iterations < 1:
-            raise ValueError(f"need iterations >= 1, got {iterations}")
+        iterations = _size(iterations, "iterations")
         super().__init__(inner)
         self._f = f
         self._iterations = iterations
@@ -173,9 +169,7 @@ class PowerOperator(WrappedOperator):
     """B^q as a LinearOperator: q sequential multiplies per query, exact."""
 
     def __init__(self, inner: LinearOperator, q: int):
-        q = int(q)
-        if q < 1:
-            raise ValueError(f"need q >= 1, got {q}")
+        q = _size(q, "q")
         super().__init__(inner)
         self._q = q
 

@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from tracekit.linop import DenseOperator, as_generator, orthonormalize
+from tracekit.linop import (
+    DenseOperator,
+    _require_finite,
+    _size,
+    as_generator,
+    orthonormalize,
+)
 
 __all__ = [
     "SpectrumSpec",
@@ -31,11 +37,9 @@ class SpectrumSpec:
     exponent: float
 
     def __post_init__(self):
-        if int(self.dim) < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _size(self.dim, "dim"))
         if float(self.exponent) < 0.0:
             raise ValueError(f"exponent must be >= 0, got {self.exponent}")
-        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "exponent", float(self.exponent))
 
     @property
@@ -72,8 +76,7 @@ def gaussian_kernel_matrix(points, gamma: float) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] < 1:
         raise ValueError("need at least one point")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points contain non-finite coordinates")
+    _require_finite(pts, "points")
     gamma = float(gamma)
     if gamma <= 0.0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
@@ -86,9 +89,7 @@ def gaussian_kernel_matrix(points, gamma: float) -> np.ndarray:
 
 def synthetic_2d_points(n: int, rng=None) -> np.ndarray:
     """n uniform points in the unit square, seed-reproducible; shape (n, 2)."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"need n >= 1 points, got {n}")
+    n = _size(n, "n")
     return as_generator(rng).random((n, 2))
 
 
@@ -108,8 +109,7 @@ def load_points(path) -> np.ndarray:
         raise ValueError(
             f"{path}: expected two columns (x y per line), got {pts.shape[1]}"
         )
-    if not np.all(np.isfinite(pts)):
-        raise ValueError(f"{path}: non-finite coordinates")
+    _require_finite(pts, str(path))
     lo = pts.min(axis=0)
     span = pts.max(axis=0) - lo
     span[span == 0.0] = 1.0

@@ -20,8 +20,11 @@ from tracekit.bench import (
 )
 from tracekit import cli
 from tracekit.cli import build_parser, main
-from tracekit.estimators import ESTIMATORS, hutchinson
-from tracekit.linop import DiagonalOperator, LinearOperator
+from tracekit.estimators import ESTIMATORS, hutchinson, subspace_projection
+from tracekit.graph import Graph
+from tracekit.linop import DiagonalOperator, LinearOperator, sample_probes
+from tracekit.matfunc import PowerOperator, exp_operator, lanczos_decompose
+from tracekit.synth import SpectrumSpec, synthetic_2d_points
 
 
 def _stats(pairs):
@@ -55,22 +58,51 @@ def test_spec_validation():
         ExperimentSpec(src, ("hutchinson",), (16, 8), 3)
     with pytest.raises(ValueError, match="trials"):
         ExperimentSpec(src, ("hutchinson",), (8,), 0)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentSpec(src, ("hutchinson",), (8,), 3, seed=-1)
+    with pytest.raises(TypeError, match="seed"):
+        ExperimentSpec(src, ("hutchinson",), (8,), 3, seed=1.5)
 
 
 def test_fractional_budgets_and_trials_raise_instead_of_truncating():
+    # Every size argument goes through one rule: a float raises TypeError
+    # naming the argument instead of being truncated to the integer below.
     src = PowerLawSource(1.0, 40)
-    with pytest.raises(TypeError):
-        ExperimentSpec(src, ("hutchinson",), (12.9, 24.5), trials=2.7)
-    with pytest.raises(TypeError):
-        ExperimentSpec(src, ("hutchinson",), (12, 24), trials=2.7)
-    with pytest.raises(TypeError):
-        hutchinson(DiagonalOperator(np.ones(4)), 2.9)
+    op = DiagonalOperator(np.ones(4))
+    two = DiagonalOperator([2.0])
+    cases = [
+        ("budget", lambda: ExperimentSpec(src, ("hutchinson",), (12.9, 24.5), 2)),
+        ("trials", lambda: ExperimentSpec(src, ("hutchinson",), (12, 24), trials=2.7)),
+        ("seed", lambda: ExperimentSpec(src, ("hutchinson",), (12, 24), 2, seed=1.5)),
+        ("m", lambda: hutchinson(op, 2.9)),
+        ("q", lambda: PowerOperator(two, 2.9).matvec([1.0])),
+        ("iterations", lambda: exp_operator(op, 3.7)),
+        ("max_iterations", lambda: lanczos_decompose(op, np.ones(4), 3.7)),
+        ("k", lambda: sample_probes(4, 2.5, "rademacher", 0)),
+        ("k", lambda: subspace_projection(op, 2.7, 1.5)),
+        ("iterations_q", lambda: subspace_projection(op, 2, 1.5)),
+        ("dim", lambda: SpectrumSpec(5.5, 1.0)),
+        ("n", lambda: synthetic_2d_points(3.9)),
+        ("dimension", lambda: LinearOperator(4.0)),
+        ("node_count", lambda: Graph(node_count=4.5, edges=())),
+    ]
+    for name, call in cases:
+        with pytest.raises(TypeError, match=rf"\b{name} must be an integer"):
+            call()
     for entry in ESTIMATORS.values():
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"\bm must be an integer"):
             entry.split(12.5)
-    spec = ExperimentSpec(src, ("hutchinson",), (np.int64(12), np.int32(24)), np.int64(2))
-    assert spec.budgets == (12, 24) and spec.trials == 2
-    assert hutchinson(DiagonalOperator(np.ones(4)), np.int64(3)).matvecs_used == 3
+    # numpy integers are exact integers and pass.
+    spec = ExperimentSpec(
+        src, ("hutchinson",), (np.int64(12), np.int32(24)), np.int64(2), np.int64(7)
+    )
+    assert spec.budgets == (12, 24) and spec.trials == 2 and spec.seed == 7
+    assert hutchinson(op, np.int64(3)).matvecs_used == 3
+    assert PowerOperator(two, np.int64(3)).matvec([1.0]).tolist() == [8.0]
+    assert sample_probes(4, np.int32(2), "rademacher", 0).entries.shape == (4, 2)
+    assert SpectrumSpec(np.int64(5), 1.0).dim == 5
+    assert synthetic_2d_points(np.int64(3)).shape == (3, 2)
+    assert Graph(node_count=np.int64(4), edges=()).node_count == 4
 
 
 # ------------------------------------------------------------------- run_sweep

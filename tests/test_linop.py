@@ -236,11 +236,16 @@ def test_orthonormalize_shape_errors():
         orthonormalize(np.ones((2, 3)))  # d < k
 
 
-def test_orthonormalize_rejects_non_finite():
-    X = np.ones((4, 2))
+@pytest.mark.parametrize(
+    "check",
+    [orthonormalize, pseudoinverse, DenseOperator, DiagonalOperator],
+    ids=lambda check: check.__name__,
+)
+def test_orthonormalize_rejects_non_finite(check):
+    X = np.ones((4, 4))
     X[1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        orthonormalize(X)
+        check(X if check is not DiagonalOperator else X[:, 0])
 
 
 @settings(max_examples=40, deadline=None)

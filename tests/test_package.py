@@ -1,6 +1,8 @@
-"""The package namespace: each public name is declared once, in its module."""
+"""The package namespace (each public name declared once) and a source-level lint."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import tracekit
 
@@ -15,3 +17,38 @@ def test_package_all_is_the_union_of_the_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(tracekit, name) is getattr(module, name)
+
+
+def _truncating_int_calls(source: str) -> list[str]:
+    """Each `int(p)` or `int(self.x)` call on a function's own parameter."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        params = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "int" and call.args):
+                continue
+            arg = call.args[0]
+            if (isinstance(arg, ast.Name) and arg.id in params) or (
+                isinstance(arg, ast.Attribute)
+                and isinstance(arg.value, ast.Name)
+                and arg.value.id == "self"
+            ):
+                found.append(f"line {call.lineno}: {ast.unparse(call)}")
+    return found
+
+
+def test_no_size_argument_is_truncated_with_int():
+    # int(2.9) == 2 silently; sizes go through linop._size, which raises.
+    assert _truncating_int_calls("def f(n):\n    return int(n)\n")
+    assert _truncating_int_calls("def f(self):\n    return int(self.dim)\n")
+    assert not _truncating_int_calls("def f(n):\n    return int(n.sum())\n")
+    package = Path(tracekit.__file__).parent
+    offenders = {
+        path.name: calls
+        for path in sorted(package.glob("*.py"))
+        if (calls := _truncating_int_calls(path.read_text()))
+    }
+    assert not offenders, offenders

@@ -93,10 +93,10 @@ class KernelLogDetSource:
         else:
             pts = synthetic_2d_points(self.n_points, _source_rng(seed))
         B = gaussian_kernel_matrix(pts, self.gamma)
-        sign, logabsdet = np.linalg.slogdet(B + self.shift * np.eye(B.shape[0]))
-        if sign <= 0:
-            raise ValueError("kernel + shift is not positive definite")
         op = shifted_log_operator(DenseOperator(B), self.shift, self.lanczos_iterations)
+        sign, logabsdet = np.linalg.slogdet(B + self.shift * np.eye(B.shape[0]))
+        if not sign > 0:
+            raise ValueError("kernel + shift is not positive definite")
         return op, float(logabsdet)
 
 
@@ -242,7 +242,7 @@ def run_sweep(spec: ExperimentSpec) -> list[TrialStats]:
     for estimator in spec.estimators:
         for m in spec.budgets:
             try:
-                ESTIMATORS[estimator].split(m)
+                ESTIMATORS[estimator](m)
             except ValueError as exc:
                 logger.warning("skipping %s at m=%d: %s", estimator, m, exc)
                 continue
@@ -306,7 +306,7 @@ def emit_csv(stats: list[TrialStats], destination) -> None:
             ",".join(
                 [
                     s.estimator,
-                    str(int(s.m)),
+                    str(_size(s.m, "TrialStats.m")),
                     _fmt(s.median_rel_err),
                     _fmt(s.q25_rel_err),
                     _fmt(s.q75_rel_err),

@@ -13,7 +13,6 @@ standard basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -97,8 +96,10 @@ def _na_hutch_pp_split(m: int) -> tuple[int, int, int]:
     return n1, n2, n3
 
 
-def _subspace_projection_split(m: int) -> int:
-    return _size(m, "subspace_projection budget m", minimum=2) // 2
+def _subspace_projection_split(m: int, iterations_q: int = 1) -> int:
+    # k columns, each spent q+1 times.
+    rounds = iterations_q + 1
+    return _size(m, "subspace_projection budget m", minimum=rounds) // rounds
 
 
 def _trace_inner(X: np.ndarray, Y: np.ndarray) -> float:
@@ -146,21 +147,16 @@ def _deflated_estimate(
     before = op.query_count
     AS = op.matmat(S)
     Q = orthonormalize(AS)
-    r = Q.shape[1]
-    if r > 0:
-        AQ = op.matmat(Q)
-        leading = _trace_inner(Q, AQ)
-        G_def = G - Q @ (Q.T @ G)
-    else:
-        leading = 0.0
-        G_def = G
+    # A rank-0 Q costs no queries, gives leading 0.0 and leaves G unchanged.
+    leading = _trace_inner(Q, op.matmat(Q))
+    G_def = G - Q @ (Q.T @ G)
     AG = op.matmat(G_def)
     residual = _trace_inner(G_def, AG) / G.shape[1]
     return TraceEstimate(
         value=leading + residual,
         matvecs_used=op.query_count - before,
         estimator=estimator,
-        split={"sketch": S.shape[1], "basis": r, "residual": G.shape[1]},
+        split={"sketch": S.shape[1], "basis": Q.shape[1], "residual": G.shape[1]},
     )
 
 
@@ -261,20 +257,20 @@ def na_hutch_pp(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
 
 def subspace_projection(
     op: LinearOperator,
-    k: int,
+    m: int,
     iterations_q: int = 1,
     rng=None,
 ) -> TraceEstimate:
     """Projection-only baseline: trace of A restricted to a sketched subspace.
 
-    Runs q rounds of subspace iteration from a d x k Rademacher block
-    (Q_0 = orth(A S), then Q_i = orth(A Q_{i-1})) and returns
-    trace(Q^T A Q).  Spends k(q+1) matvecs.  Biased: it misses the trace
-    mass outside the captured subspace, so it only wins when the spectrum
-    decays fast.
+    With k = floor(m/(q+1)): runs q rounds of subspace iteration from a
+    d x k Rademacher block (Q_0 = orth(A S), then Q_i = orth(A Q_{i-1})) and
+    returns trace(Q^T A Q).  Spends k(q+1) matvecs.  Biased: it misses the
+    trace mass outside the captured subspace, so it only wins when the
+    spectrum decays fast.
     """
-    k = _size(k, "k")
     q = _size(iterations_q, "iterations_q")
+    k = _subspace_projection_split(m, q)
     gen = as_generator(rng)
     S = sample_probes(op.dim, k, Distribution.RADEMACHER, gen).entries
     before = op.query_count
@@ -283,12 +279,8 @@ def subspace_projection(
         if Q.shape[1] == 0:
             break
         Q = orthonormalize(op.matmat(Q))
-    if Q.shape[1] > 0:
-        value = _trace_inner(Q, op.matmat(Q))
-    else:
-        value = 0.0
     return TraceEstimate(
-        value=value,
+        value=_trace_inner(Q, op.matmat(Q)),
         matvecs_used=op.query_count - before,
         estimator="subspace_projection",
         split={"sketch": k, "rounds": q, "projection": Q.shape[1]},
@@ -305,13 +297,10 @@ def exact_trace(op: LinearOperator) -> TraceEstimate:
     before = op.query_count
     total = 0.0
     for start in range(0, d, _EXACT_TRACE_CHUNK):
-        stop = min(start + _EXACT_TRACE_CHUNK, d)
-        width = stop - start
-        E = np.zeros((d, width))
-        cols = np.arange(width)
-        E[start + cols, cols] = 1.0
-        Y = op.matmat(E)
-        total += float(Y[start + cols, cols].sum())
+        width = min(_EXACT_TRACE_CHUNK, d - start)
+        # Column c is the standard basis vector e_{start+c}.
+        Y = op.matmat(np.eye(d, width, -start))
+        total += float(np.trace(Y, -start))
     return TraceEstimate(
         value=total,
         matvecs_used=op.query_count - before,
@@ -320,48 +309,26 @@ def exact_trace(op: LinearOperator) -> TraceEstimate:
     )
 
 
-@dataclass(frozen=True)
-class _Entry:
-    # `run` looks its estimator up by module name at call time, so a wrapper
-    # installed on the module function (a profiler, a test double) also sees
-    # the calls made through the registry.
-    run: Callable[[LinearOperator, int, object], TraceEstimate]
-    split: Callable[[int], object]
-
-
-#: The estimator registry: name -> how to run it at a budget of m matvecs,
-#: and its budget rule (raises ValueError for a budget it cannot use).  The
-#: order is fixed: trial seeds key on each name's index.
-ESTIMATORS: dict[str, _Entry] = {
-    "hutchinson": _Entry(
-        lambda op, m, rng: hutchinson(op, m, rng=rng), _hutchinson_split
-    ),
-    "hutch_pp": _Entry(lambda op, m, rng: hutch_pp(op, m, rng=rng), _hutch_pp_split),
-    "na_hutch_pp": _Entry(
-        lambda op, m, rng: na_hutch_pp(op, m, rng=rng), _na_hutch_pp_split
-    ),
-    "hutch_pp_gauss": _Entry(
-        lambda op, m, rng: hutch_pp_gauss(op, m, rng=rng), _hutch_pp_gauss_split
-    ),
-    "subspace_projection": _Entry(
-        lambda op, m, rng: subspace_projection(
-            op, _subspace_projection_split(m), 1, rng
-        ),
-        _subspace_projection_split,
-    ),
+#: The estimator registry: name -> the budget rule of the estimator of that
+#: name, which raises ValueError for a budget m it cannot use.  The order is
+#: fixed: trial seeds key on each name's index.
+ESTIMATORS = {
+    "hutchinson": _hutchinson_split,
+    "hutch_pp": _hutch_pp_split,
+    "na_hutch_pp": _na_hutch_pp_split,
+    "hutch_pp_gauss": _hutch_pp_gauss_split,
+    "subspace_projection": _subspace_projection_split,
 }
 
 
 def run_estimator(
     op: LinearOperator, name: str, budget_m: int, rng=None
 ) -> TraceEstimate:
-    """Run the registered estimator `name` at a total budget of m matvecs.
-
-    subspace_projection maps the budget to k = floor(m/2) with q = 1 so its
-    k(q+1) spend matches m.
-    """
+    """Run the registered estimator `name` at a total budget of m matvecs."""
     if name not in ESTIMATORS:
         raise ValueError(
             f"unknown estimator {name!r}; expected one of {', '.join(ESTIMATORS)}"
         )
-    return ESTIMATORS[name].run(op, budget_m, rng)
+    # Looked up at call time, so a wrapper installed on the module function
+    # (a profiler, a test double) also sees the calls made here.
+    return globals()[name](op, budget_m, rng=rng)

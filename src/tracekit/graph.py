@@ -46,9 +46,11 @@ class EdgeListParseError(ValueError):
 class Graph:
     """Simple undirected graph with nodes relabeled to 0..n-1.
 
-    ``edges`` is a read-only (E, 2) int64 array holding each edge once as
-    (u, v) with u < v; self-loops never survive parsing (their count is kept
-    for reporting).
+    ``edges`` is a read-only (E, 2) int64 array holding each edge once, in
+    either orientation, with ids in [0, node_count) and no self-loops; a
+    self-loop or an out-of-range id raises here, an edge given twice when the
+    adjacency is built.  ``parse_edge_list`` emits (u, v) with u < v and
+    drops self-loops (their count is kept for reporting).
     """
 
     node_count: int
@@ -59,6 +61,10 @@ class Graph:
         node_count = _size(self.node_count, "node_count", minimum=0)
         object.__setattr__(self, "node_count", node_count)
         edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        if edges.size and not 0 <= edges.min() <= edges.max() < node_count:
+            raise ValueError(f"edge node ids must lie in [0, {node_count})")
+        if (edges[:, 0] == edges[:, 1]).any():
+            raise ValueError("edges must not include self-loops")
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 
@@ -77,6 +83,9 @@ class Graph:
         rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
         n = self.node_count
         A = scipy.sparse.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
+        # Building the CSR sums duplicates, so an edge given twice stores a 2.
+        if (A.data != 1.0).any():
+            raise ValueError("an undirected edge is given more than once")
         for part in (A.data, A.indices, A.indptr):
             part.flags.writeable = False
         return A

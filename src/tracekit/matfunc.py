@@ -65,7 +65,7 @@ def lanczos_decompose(
     d = op.dim
     V = np.empty((d, max_iterations))
     alphas = np.empty(max_iterations)
-    betas = np.empty(max(max_iterations - 1, 0))
+    betas = np.empty(max_iterations - 1)
     V[:, 0] = x / norm_x
     j = 0
     while True:
@@ -106,11 +106,7 @@ def lanczos_apply(
     breakdown truncates and the result is then exact on the subspace).
     """
     dec = lanczos_decompose(op, x, iterations)
-    if dec.iterations == 1:
-        theta = dec.alphas
-        U = np.ones((1, 1))
-    else:
-        theta, U = scipy.linalg.eigh_tridiagonal(dec.alphas, dec.betas)
+    theta, U = scipy.linalg.eigh_tridiagonal(dec.alphas, dec.betas)
     coeff = U @ (np.asarray(f(theta)) * U[0, :])
     norm_x = float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
     return norm_x * (dec.basis @ coeff)
@@ -153,7 +149,7 @@ def shifted_log_operator(
     below -lambda*(1 - 1e-9) are clamped to -lambda + 1e-12 before the log.
     """
     lam = float(lam)
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError(f"shift lambda must be > 0, got {lam}")
 
     floor = -lam * (1.0 - 1e-9)

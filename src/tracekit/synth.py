@@ -38,7 +38,7 @@ class SpectrumSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _size(self.dim, "dim"))
-        if float(self.exponent) < 0.0:
+        if not float(self.exponent) >= 0.0:
             raise ValueError(f"exponent must be >= 0, got {self.exponent}")
         object.__setattr__(self, "exponent", float(self.exponent))
 
@@ -78,7 +78,7 @@ def gaussian_kernel_matrix(points, gamma: float) -> np.ndarray:
         raise ValueError("need at least one point")
     _require_finite(pts, "points")
     gamma = float(gamma)
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     sq_dists = cdist(pts, pts, metric="sqeuclidean")
     B = np.exp(-gamma * sq_dists)

@@ -18,7 +18,7 @@ from tracekit.bench import (
     _cached_exact_trace,
     run_sweep,
 )
-from tracekit import cli
+from tracekit import bench, cli
 from tracekit.cli import build_parser, main
 from tracekit.estimators import ESTIMATORS, hutchinson, subspace_projection
 from tracekit.graph import Graph
@@ -79,8 +79,8 @@ def test_fractional_budgets_and_trials_raise_instead_of_truncating():
         ("iterations", lambda: exp_operator(op, 3.7)),
         ("max_iterations", lambda: lanczos_decompose(op, np.ones(4), 3.7)),
         ("k", lambda: sample_probes(4, 2.5, "rademacher", 0)),
-        ("k", lambda: subspace_projection(op, 2.7, 1.5)),
-        ("iterations_q", lambda: subspace_projection(op, 2, 1.5)),
+        ("m", lambda: subspace_projection(op, 5.4, 1)),
+        ("iterations_q", lambda: subspace_projection(op, 4, 1.5)),
         ("dim", lambda: SpectrumSpec(5.5, 1.0)),
         ("n", lambda: synthetic_2d_points(3.9)),
         ("dimension", lambda: LinearOperator(4.0)),
@@ -89,9 +89,9 @@ def test_fractional_budgets_and_trials_raise_instead_of_truncating():
     for name, call in cases:
         with pytest.raises(TypeError, match=rf"\b{name} must be an integer"):
             call()
-    for entry in ESTIMATORS.values():
+    for rule in ESTIMATORS.values():
         with pytest.raises(TypeError, match=r"\bm must be an integer"):
-            entry.split(12.5)
+            rule(12.5)
     # numpy integers are exact integers and pass.
     spec = ExperimentSpec(
         src, ("hutchinson",), (np.int64(12), np.int32(24)), np.int64(2), np.int64(7)
@@ -295,6 +295,12 @@ def test_sweep_kernel_logdet_source():
     assert rows[0].mean_matvecs == 8.0
 
 
+def test_kernel_logdet_source_rejects_a_nan_shift():
+    # Raised before any ground truth is computed, not at the first query.
+    with pytest.raises(ValueError, match="shift lambda"):
+        KernelLogDetSource(n_points=5, shift=np.nan).materialize(seed=0)
+
+
 def test_sweep_graph_estrada_source(tmp_path):
     p = tmp_path / "tri.txt"
     p.write_text("0 1\n1 2\n2 0\n")
@@ -309,6 +315,30 @@ def test_sweep_graph_estrada_source(tmp_path):
     assert [r.m for r in rows] == [4, 8]
     assert all(math.isfinite(r.median_rel_err) for r in rows)
     assert all(r.median_rel_err < 1.0 for r in rows)
+
+
+def test_estrada_truth_past_the_dense_guard_is_cached_once(tmp_path, monkeypatch):
+    # 669 disjoint triangles: 2,007 nodes, past the 2,000-node dense guard.
+    # Lanczos is exact here (each Krylov space has dimension 2), and each
+    # triangle has eigenvalues 2, -1, -1.
+    p = tmp_path / "triangles.txt"
+    p.write_text("".join(
+        f"{a} {a + 1}\n{a + 1} {a + 2}\n{a + 2} {a}\n" for a in range(0, 2007, 3)
+    ))
+    source = GraphEstradaSource(path=str(p), lanczos_iterations=3)
+    op, truth = source.materialize(seed=0)
+    assert op.dim == 2007
+    assert truth == pytest.approx(669 * (math.e**2 + 2 / math.e), rel=1e-12)
+    (cache,) = tmp_path.glob("*.trace-cache.json")
+    written = (cache.read_bytes(), cache.stat().st_mtime_ns)
+
+    def no_exact_trace(op):
+        raise AssertionError("exact_trace called with a cached truth")
+
+    monkeypatch.setattr(bench, "exact_trace", no_exact_trace)
+    assert source.materialize(seed=1)[1] == truth
+    assert list(tmp_path.glob("*.trace-cache.json")) == [cache]
+    assert (cache.read_bytes(), cache.stat().st_mtime_ns) == written
 
 
 def test_triangle_truth_is_exact_past_5000_nodes_without_a_cache(tmp_path):
@@ -361,6 +391,12 @@ def test_csv_single_row_format():
         "estimator,m,median_rel_err,q25,q75,mean_matvecs\n"
         "hutch_pp,48,0.5,0.25,0.75,48\n"
     )
+
+
+def test_csv_rejects_a_fractional_budget_instead_of_truncating():
+    row = TrialStats("hutchinson", 12.9, 0.1, 0.1, 0.1, 12.0)
+    with pytest.raises(TypeError, match=r"\bm must be an integer"):
+        emit_csv([row], io.StringIO())
 
 
 def test_csv_round_trips_exact_floats(tmp_path):

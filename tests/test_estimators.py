@@ -248,7 +248,7 @@ def test_hutch_pp_gauss_variance_bound_smoke():
 def test_subspace_projection_identity_is_k():
     op = DenseOperator(np.eye(9))
     for seed in range(5):
-        est = subspace_projection(op.clone(), 4, 1, rng=seed)
+        est = subspace_projection(op.clone(), 8, 1, rng=seed)
         assert est.value == pytest.approx(4.0, rel=1e-12)
         assert est.matvecs_used == 8  # k(q+1)
 
@@ -256,7 +256,7 @@ def test_subspace_projection_identity_is_k():
 def test_subspace_projection_captures_dominant_eigenvalue():
     op = DiagonalOperator([10.0, 1e-6, 1e-6])
     for seed in range(10):
-        est = subspace_projection(op.clone(), 1, 1, rng=seed)
+        est = subspace_projection(op.clone(), 2, 1, rng=seed)
         assert est.value == pytest.approx(10.0, abs=1e-4)
 
 
@@ -266,7 +266,7 @@ def test_subspace_projection_loses_on_slow_decay():
     A, op = power_law_matrix(SpectrumSpec(1000, 0.5), rng=6)
     tr = np.trace(A)
     sp = [
-        abs(subspace_projection(op.clone(), 30, 1, rng=_rng(83, t)).value - tr) / tr
+        abs(subspace_projection(op.clone(), 60, 1, rng=_rng(83, t)).value - tr) / tr
         for t in range(200)
     ]
     hu = [
@@ -279,7 +279,7 @@ def test_subspace_projection_loses_on_slow_decay():
 def test_subspace_projection_multiple_rounds():
     lam = np.array([5.0, 4.0, 0.1, 0.05, 0.01])
     op = DiagonalOperator(lam)
-    est = subspace_projection(op.clone(), 2, 3, rng=0)
+    est = subspace_projection(op.clone(), 8, 3, rng=0)
     assert est.matvecs_used == 8  # k(q+1) = 2*4
     assert est.value == pytest.approx(9.0, abs=1e-3)
 
@@ -290,6 +290,19 @@ def test_subspace_projection_argument_errors():
         subspace_projection(op, 0, 1)
     with pytest.raises(ValueError):
         subspace_projection(op, 1, 0)
+    with pytest.raises(ValueError, match="budget m must be >= 3"):
+        subspace_projection(op, 2, 2)  # k = floor(2/3) would be 0
+    with pytest.raises(ValueError, match="iterations_q"):
+        subspace_projection(op, 0, 0)  # q is checked before m
+
+
+def test_subspace_projection_spends_k_of_floor_m_over_q_plus_1():
+    # m = 11, q = 2: k = 3 columns, 9 matvecs, the same probes as m = 9.
+    _, op = power_law_matrix(SpectrumSpec(40, 1.0), rng=5)
+    est = subspace_projection(op.clone(), 11, 2, rng=4)
+    assert est.matvecs_used == 9
+    assert est.split == {"sketch": 3, "rounds": 2, "projection": 3}
+    assert est.value == subspace_projection(op.clone(), 9, 2, rng=4).value
 
 
 # ----------------------------------------------------------------- exact_trace
@@ -332,7 +345,7 @@ def test_budget_formulas_all_estimators():
     est = na_hutch_pp(op.clone(), 13, rng=0)
     assert est.matvecs_used == 3 + 6 + 3
     assert hutch_pp_gauss(op.clone(), 14, rng=0).matvecs_used == 14
-    assert subspace_projection(op.clone(), 5, 2, rng=0).matvecs_used == 15
+    assert subspace_projection(op.clone(), 15, 2, rng=0).matvecs_used == 15
     assert exact_trace(op.clone()).matvecs_used == 40
 
 
@@ -401,11 +414,14 @@ def test_run_estimator_dispatch():
     assert est.matvecs_used == 14  # k = 7, q = 1
     with pytest.raises(ValueError, match="unknown estimator"):
         run_estimator(op, "simple_average", 10)
+    # Each registry value is its estimator's budget rule.
+    assert ESTIMATORS["hutch_pp"](14) == 4
+    assert ESTIMATORS["subspace_projection"](14) == 7
     # Each budget rule rejects exactly the budgets its estimator rejects.
-    for name, entry in ESTIMATORS.items():
+    for name, rule in ESTIMATORS.items():
         for m in range(1, 31):
             try:
-                entry.split(m)
+                rule(m)
                 rule_accepts = True
             except ValueError:
                 rule_accepts = False
@@ -415,3 +431,19 @@ def test_run_estimator_dispatch():
             except ValueError:
                 runs = False
             assert rule_accepts == runs, (name, m)
+
+
+def test_zero_operator_through_every_registry_entry():
+    # A rank-0 sketch costs no A*Q queries and leaves the residual probes as
+    # drawn, so the estimate is exactly 0.0.
+    expected = {
+        "hutchinson": (14, {"probes": 14}),
+        "hutch_pp": (8, {"sketch": 4, "basis": 0, "residual": 4}),
+        "na_hutch_pp": (13, {"sketch": 3, "range": 7, "residual": 3}),
+        "hutch_pp_gauss": (10, {"sketch": 4, "basis": 0, "residual": 6}),
+        "subspace_projection": (7, {"sketch": 7, "rounds": 1, "projection": 0}),
+    }
+    for name in ESTIMATORS:
+        est = run_estimator(DenseOperator(np.zeros((12, 12))), name, 14, rng=0)
+        assert est.value == 0.0
+        assert (est.matvecs_used, est.split) == expected[name], name

@@ -280,6 +280,20 @@ def test_adjacency_isolated_graph_edge_cases():
         AdjacencyOperator(Graph(node_count=0, edges=()))
 
 
+def test_graph_rejects_edges_its_adjacency_cannot_hold():
+    with pytest.raises(ValueError, match="self-loop"):
+        Graph(node_count=3, edges=[(0, 1), (1, 2), (0, 2), (1, 1), (2, 0)])
+    for edges in ([(0, 5)], [(-1, 1)]):
+        with pytest.raises(ValueError, match=r"in \[0, 2\)"):
+            Graph(node_count=2, edges=edges)
+    # (0, 2) and (2, 0) are one undirected edge given twice.
+    g = Graph(node_count=3, edges=[(0, 1), (1, 2), (0, 2), (2, 0)])
+    with pytest.raises(ValueError, match="more than once"):
+        g.adjacency
+    # Either orientation is accepted once.
+    assert triangle_count_exact(Graph(node_count=3, edges=[(0, 1), (2, 1), (2, 0)])) == 1
+
+
 # ------------------------------------------------------------------- triangles
 
 

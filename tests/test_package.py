@@ -20,7 +20,7 @@ def test_package_all_is_the_union_of_the_module_lists():
 
 
 def _truncating_int_calls(source: str) -> list[str]:
-    """Each `int(p)` or `int(self.x)` call on a function's own parameter."""
+    """Each `int(p)` call on a function's own parameter, and each `int(a.x)`."""
     found = []
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -32,9 +32,7 @@ def _truncating_int_calls(source: str) -> list[str]:
                 continue
             arg = call.args[0]
             if (isinstance(arg, ast.Name) and arg.id in params) or (
-                isinstance(arg, ast.Attribute)
-                and isinstance(arg.value, ast.Name)
-                and arg.value.id == "self"
+                isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name)
             ):
                 found.append(f"line {call.lineno}: {ast.unparse(call)}")
     return found
@@ -44,6 +42,7 @@ def test_no_size_argument_is_truncated_with_int():
     # int(2.9) == 2 silently; sizes go through linop._size, which raises.
     assert _truncating_int_calls("def f(n):\n    return int(n)\n")
     assert _truncating_int_calls("def f(self):\n    return int(self.dim)\n")
+    assert _truncating_int_calls("def f(rows):\n    return [int(s.m) for s in rows]\n")
     assert not _truncating_int_calls("def f(n):\n    return int(n.sum())\n")
     package = Path(tracekit.__file__).parent
     offenders = {

@@ -31,6 +31,8 @@ def test_spectrum_spec_validation():
         SpectrumSpec(0, 1.0)
     with pytest.raises(ValueError):
         SpectrumSpec(5, -0.5)
+    with pytest.raises(ValueError, match="exponent"):
+        SpectrumSpec(4, np.nan)
 
 
 # ------------------------------------------------------------ power_law_matrix
@@ -130,6 +132,8 @@ def test_kernel_is_psd():
 def test_kernel_validation():
     with pytest.raises(ValueError):
         gaussian_kernel_matrix([[0.0, 0.0]], gamma=0.0)
+    with pytest.raises(ValueError, match="gamma"):
+        gaussian_kernel_matrix([[0.0, 0.0], [0.5, 0.5]], gamma=np.nan)
     with pytest.raises(ValueError):
         gaussian_kernel_matrix([[np.nan, 0.0]], gamma=1.0)
     with pytest.raises(ValueError):

@@ -11,13 +11,8 @@ subset or execution order.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Protocol
 
 import numpy as np
@@ -113,8 +108,9 @@ class GraphEstradaSource:
         op = exp_operator(AdjacencyOperator(g), self.lanczos_iterations)
         if g.node_count <= _DENSE_ESTRADA_MAX:
             return op, estrada_index_exact(g)
-        label = f"estrada_lanczos{self.lanczos_iterations}"
-        return op, _cached_exact_trace(self.path, label, op)
+        logger.info("computing exact ground truth for %s: %d operator queries",
+                    self.path, op.dim)
+        return op, exact_trace(op.clone()).value
 
 
 @dataclass(frozen=True)
@@ -197,37 +193,6 @@ def _trial_rng(seed: int, estimator: str, m: int, trial: int) -> np.random.Gener
     )
 
 
-def _cached_exact_trace(path, label: str, op: LinearOperator) -> float:
-    """exact_trace of op, cached in a JSON file beside `path`.
-
-    Entries are keyed on the sha256 of the file's bytes plus `label`, so an
-    edited file never reuses an old value; the cache is replaced atomically.
-    """
-    path = Path(path)
-    key = f"{hashlib.sha256(path.read_bytes()).hexdigest()}:{label}"
-    cache_path = path.with_name(path.name + ".trace-cache.json")
-    try:
-        cache = json.loads(cache_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        cache = {}
-    if key in cache:
-        return float(cache[key])
-    logger.info("computing exact ground truth for %s (%s); this is O(d) matvecs",
-                path, label)
-    cache[key] = value = exact_trace(op.clone()).value
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=cache_path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(cache, fh, indent=1, sort_keys=True)
-        os.replace(tmp, cache_path)
-    except OSError:
-        logger.warning("could not write ground-truth cache %s", cache_path)
-        if tmp is not None:
-            Path(tmp).unlink(missing_ok=True)
-    return value
-
-
 def run_sweep(spec: ExperimentSpec) -> list[TrialStats]:
     """Run the full sweep; one TrialStats row per valid (estimator, m) cell.
 
@@ -250,7 +215,7 @@ def run_sweep(spec: ExperimentSpec) -> list[TrialStats]:
             matvecs = np.empty(spec.trials)
             for t in range(spec.trials):
                 result = run_estimator(
-                    op.clone(), estimator, m, _trial_rng(spec.seed, estimator, m, t)
+                    op, estimator, m, _trial_rng(spec.seed, estimator, m, t)
                 )
                 errors[t] = abs(result.value - truth) / abs(truth)
                 matvecs[t] = result.matvecs_used

@@ -263,7 +263,7 @@ def orthonormalize(X: ArrayLike) -> NDArray[np.float64]:
     with r the numerical rank of X.  An all-zero X yields a d x 0 result.
 
     Args:
-        X: d x k matrix, d >= k >= 1.
+        X: d x k matrix; for k > d the result has at most d columns.
 
     Returns:
         Q with orthonormal columns spanning range(X).
@@ -271,13 +271,10 @@ def orthonormalize(X: ArrayLike) -> NDArray[np.float64]:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {X.shape}")
-    d, k = X.shape
-    if not (d >= k >= 1):
-        raise ValueError(f"expected d >= k >= 1, got shape {X.shape}")
     _require_finite(X, "matrix")
     scale = np.linalg.norm(X)
     if scale == 0.0:
-        return np.zeros((d, 0))
+        return np.zeros((X.shape[0], 0))
     threshold = 1e-12 * scale
     # Householder QR; |R_jj| is column j's residual norm against the span of
     # the previous columns.  Fast path when every column clears the tolerance.

@@ -15,14 +15,13 @@ from tracekit.bench import (
     TrialStats,
     emit_csv,
     fit_loglog_slope,
-    _cached_exact_trace,
     run_sweep,
 )
-from tracekit import bench, cli
+from tracekit import cli
 from tracekit.cli import build_parser, main
-from tracekit.estimators import ESTIMATORS, hutchinson, subspace_projection
+from tracekit.estimators import ESTIMATORS, hutchinson, run_estimator, subspace_projection
 from tracekit.graph import Graph
-from tracekit.linop import DiagonalOperator, LinearOperator, sample_probes
+from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator, sample_probes
 from tracekit.matfunc import PowerOperator, exp_operator, lanczos_decompose
 from tracekit.synth import SpectrumSpec, synthetic_2d_points
 
@@ -206,6 +205,19 @@ def test_sweep_skips_invalid_budget_cells_and_continues(caplog):
                for rec in caplog.records)
 
 
+def test_a_sketch_wider_than_the_operator_runs():
+    # m=30 on d=8: a 10-column sketch spans all of R^8, so the 8-column
+    # basis spends 10 + 8 + 10 queries and the estimate is exact to rounding.
+    rows = run_sweep(
+        ExperimentSpec(PowerLawSource(1.0, 8), ("hutch_pp",), (12, 30), trials=2)
+    )
+    assert [r.m for r in rows] == [12, 30]
+    assert rows[1].mean_matvecs == 28.0
+    assert rows[1].q75_rel_err < 1e-14
+    result = run_estimator(DenseOperator(np.zeros((6, 6))), "subspace_projection", 14)
+    assert (result.value, result.matvecs_used) == (0.0, 7)
+
+
 class _NanOperator(LinearOperator):
     def _apply_block(self, X):
         return np.full(X.shape, np.nan)
@@ -229,19 +241,6 @@ def test_sweep_fails_loudly_mid_cell(estimator, tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_cached_exact_trace_is_keyed_on_file_contents(tmp_path):
-    p = tmp_path / "g.txt"
-    p.write_text("0 1\n")
-    assert _cached_exact_trace(p, "diag", DiagonalOperator([1.0, 2.0])) == 3.0
-    # Same bytes: the cached value is returned without querying the operator.
-    assert _cached_exact_trace(p, "diag", DiagonalOperator([5.0, 5.0])) == 3.0
-    p.write_text("0 1\n1 2\n")
-    assert _cached_exact_trace(p, "diag", DiagonalOperator([5.0, 5.0])) == 10.0
-    assert sorted(f.name for f in tmp_path.iterdir()) == [
-        "g.txt", "g.txt.trace-cache.json"
-    ]  # no temporary file left behind
 
 
 def test_sweep_rejects_zero_trace_truth(tmp_path):
@@ -317,7 +316,11 @@ def test_sweep_graph_estrada_source(tmp_path):
     assert all(r.median_rel_err < 1.0 for r in rows)
 
 
-def test_estrada_truth_past_the_dense_guard_is_cached_once(tmp_path, monkeypatch):
+def _sweep_to_csv(source, out):
+    emit_csv(run_sweep(ExperimentSpec(source, ("hutchinson",), (4,), trials=2)), out)
+
+
+def test_estrada_truth_past_the_dense_guard_writes_no_file(tmp_path):
     # 669 disjoint triangles: 2,007 nodes, past the 2,000-node dense guard.
     # Lanczos is exact here (each Krylov space has dimension 2), and each
     # triangle has eigenvalues 2, -1, -1.
@@ -329,16 +332,9 @@ def test_estrada_truth_past_the_dense_guard_is_cached_once(tmp_path, monkeypatch
     op, truth = source.materialize(seed=0)
     assert op.dim == 2007
     assert truth == pytest.approx(669 * (math.e**2 + 2 / math.e), rel=1e-12)
-    (cache,) = tmp_path.glob("*.trace-cache.json")
-    written = (cache.read_bytes(), cache.stat().st_mtime_ns)
-
-    def no_exact_trace(op):
-        raise AssertionError("exact_trace called with a cached truth")
-
-    monkeypatch.setattr(bench, "exact_trace", no_exact_trace)
     assert source.materialize(seed=1)[1] == truth
-    assert list(tmp_path.glob("*.trace-cache.json")) == [cache]
-    assert (cache.read_bytes(), cache.stat().st_mtime_ns) == written
+    _sweep_to_csv(source, tmp_path / "out.csv")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["out.csv", "triangles.txt"]
 
 
 def test_triangle_truth_is_exact_past_5000_nodes_without_a_cache(tmp_path):
@@ -346,10 +342,12 @@ def test_triangle_truth_is_exact_past_5000_nodes_without_a_cache(tmp_path):
     p.write_text("".join(
         f"{a} {a + 1}\n{a + 1} {a + 2}\n{a + 2} {a}\n" for a in range(0, 6000, 3)
     ))
-    op, truth = GraphTrianglesSource(path=str(p)).materialize(seed=0)
+    source = GraphTrianglesSource(path=str(p))
+    op, truth = source.materialize(seed=0)
     assert op.dim == 6000
     assert truth == 12000.0  # 6 x 2000 triangles
-    assert list(tmp_path.glob("*.trace-cache.json")) == []
+    _sweep_to_csv(source, tmp_path / "out.csv")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["out.csv", "triangles.txt"]
 
 
 # ------------------------------------------------------------ fit_loglog_slope

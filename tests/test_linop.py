@@ -232,8 +232,14 @@ def test_orthonormalize_interior_dependent_column():
 
 
 def test_orthonormalize_shape_errors():
-    with pytest.raises(ValueError):
-        orthonormalize(np.ones((2, 3)))  # d < k
+    # A block wider than the operator is spanned by a d x d basis.
+    X = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 5.0]])
+    Q = orthonormalize(X)
+    assert Q.shape == (2, 2)
+    np.testing.assert_allclose(Q.T @ Q, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(Q @ (Q.T @ X), X, atol=1e-14)
+    with pytest.raises(ValueError, match="2-d"):
+        orthonormalize(np.ones(3))
 
 
 @pytest.mark.parametrize(

@@ -265,9 +265,9 @@ def subspace_projection(
 
     With k = floor(m/(q+1)): runs q rounds of subspace iteration from a
     d x k Rademacher block (Q_0 = orth(A S), then Q_i = orth(A Q_{i-1})) and
-    returns trace(Q^T A Q).  Spends k(q+1) matvecs.  Biased: it misses the
-    trace mass outside the captured subspace, so it only wins when the
-    spectrum decays fast.
+    returns trace(Q^T A Q).  Spends at most k(q+1) matvecs; a rank-deficient
+    sketch spends fewer.  Biased: it misses the trace mass outside the
+    captured subspace, so it only wins when the spectrum decays fast.
     """
     q = _size(iterations_q, "iterations_q")
     k = _subspace_projection_split(m, q)

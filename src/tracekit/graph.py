@@ -107,6 +107,24 @@ def _first_bad_line(text: str) -> EdgeListParseError:
     return EdgeListParseError("malformed edge list")
 
 
+def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal values: ``(inverse, first)``.
+
+    ``first[g]`` is the first position of group g, groups in increasing value
+    order, and ``inverse[i]`` is the group of ``values[i]``.  One unstable
+    sort; the minimum over each group's positions makes the result
+    independent of how the sort orders ties.
+    """
+    perm = np.argsort(values)
+    ordered = values[perm]
+    start = np.ones(len(values), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+    first = np.minimum.reduceat(perm, np.flatnonzero(start))
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[perm] = np.cumsum(start) - 1
+    return inverse, first
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse a SNAP-style whitespace edge list.
 
@@ -138,15 +156,17 @@ def parse_edge_list(text: str) -> Graph:
     loops = ids[:, 0] == ids[:, 1]
     ids = ids[~loops]
     # Label each ID by the rank of its first appearance, row-major.
-    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    label = np.empty(len(uniq), dtype=np.int64)
-    label[np.argsort(first)] = np.arange(len(uniq))
-    ends = np.sort(label[inverse].reshape(-1, 2), axis=1)
+    inverse, first = _first_seen(ids.ravel())
+    label = np.empty(len(first), dtype=np.int64)
+    label[np.argsort(first)] = np.arange(len(first))
+    a, b = label[inverse].reshape(-1, 2).T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     # Keep each undirected edge at its first appearance, in file order.
-    _, first_edge = np.unique(ends[:, 0] * len(uniq) + ends[:, 1], return_index=True)
+    _, first_edge = _first_seen(lo * len(first) + hi)
+    keep = np.sort(first_edge)
     return Graph(
-        node_count=len(uniq),
-        edges=ends[np.sort(first_edge)],
+        node_count=len(first),
+        edges=np.stack([lo[keep], hi[keep]], axis=1),
         self_loops_dropped=int(loops.sum()),
     )
 

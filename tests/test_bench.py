@@ -17,7 +17,7 @@ from tracekit.bench import (
     fit_loglog_slope,
     run_sweep,
 )
-from tracekit import cli
+from tracekit import bench, cli
 from tracekit.cli import build_parser, main
 from tracekit.estimators import ESTIMATORS, hutchinson, run_estimator, subspace_projection
 from tracekit.graph import Graph
@@ -216,6 +216,24 @@ def test_a_sketch_wider_than_the_operator_runs():
     assert rows[1].q75_rel_err < 1e-14
     result = run_estimator(DenseOperator(np.zeros((6, 6))), "subspace_projection", 14)
     assert (result.value, result.matvecs_used) == (0.0, 7)
+
+
+def test_a_rank_deficient_projection_spends_fewer_than_k_q_plus_1(monkeypatch):
+    # m=14 on d=8: k=7, q=1.  Trial 0's sketch keeps 6 of its 7 columns, so
+    # the projection queries 6 and the trial spends 13 of at most k(q+1)=14.
+    spent = []
+
+    def recording(*args):
+        result = run_estimator(*args)
+        spent.append((result.matvecs_used, result.split["projection"]))
+        return result
+
+    monkeypatch.setattr(bench, "run_estimator", recording)
+    rows = run_sweep(
+        ExperimentSpec(PowerLawSource(1.0, 8), ("subspace_projection",), (14,), trials=3)
+    )
+    assert spent == [(13, 6), (14, 7), (14, 7)]
+    assert rows[0].mean_matvecs == 41 / 3
 
 
 class _NanOperator(LinearOperator):

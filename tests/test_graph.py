@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracekit.estimators import exact_trace
@@ -135,16 +135,10 @@ def _reference_parse(text: str) -> tuple[int, list[tuple[int, int]], int]:
 
 
 def _reference_adjacency(n: int, edges: list) -> scipy.sparse.csr_matrix:
-    # The adjacency build that went with the reference parser.
-    if edges:
-        e = np.asarray(edges, dtype=np.int64)
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        data = np.ones(rows.shape[0])
-    else:
-        rows = cols = np.zeros(0, dtype=np.int64)
-        data = np.zeros(0)
-    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    # scipy's own COO -> CSR build of the same edges, both orientations.
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    rows, cols = np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
+    return scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
 
 
 _blanks = st.text(" \t", max_size=3)
@@ -198,6 +192,13 @@ def _edge_list_text(draw, malformed: bool = False) -> str:
 
 @settings(max_examples=300, deadline=None)
 @given(_edge_list_text())
+@example("-9223372036854775808 9223372036854775807\n"  # ids across the int64 range
+         "4611686018427387904 -4611686018427387904\n"
+         "9223372036854775807 -4611686018427387904\n-1 4611686018427387904\n")
+@example("5 9\n9 5\n5 9\n2 5\n9 5\n5 2\n2 9\n")  # repeats in both orientations
+@example("1 1\n1 2\n2 2\n2 3\n3 1\n3 3\n")  # self-loops among edges
+@example("")
+@example("4 4\n-7 -7\n4 4\n")  # self-loops only
 def test_parse_matches_the_line_loop_reference(text):
     got = parse_edge_list(text)
     node_count, edges, self_loops = _reference_parse(text)
@@ -210,6 +211,11 @@ def test_parse_matches_the_line_loop_reference(text):
         a, b = getattr(A, part), getattr(B, part)
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
+    if edges:
+        # One edge given again in the other orientation is a duplicate.
+        u, v = edges[0]
+        with pytest.raises(ValueError, match="more than once"):
+            Graph(node_count=node_count, edges=[*edges, (v, u)]).adjacency
 
 
 @settings(max_examples=200, deadline=None)

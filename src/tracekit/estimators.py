@@ -233,10 +233,12 @@ def na_hutch_pp(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     the combined estimator unbiased.  A singular S^T Z is handled by the
     pseudoinverse cutoff.
     """
-    S, R, G = na_hutch_pp_probes(op.dim, m, rng)
-    n1, n2, n3 = S.shape[1], R.shape[1], G.shape[1]
+    n1, n2, n3 = _na_hutch_pp_split(m)
+    # The probes exist once: S and G are column views of the queried block.
+    block = np.hstack(na_hutch_pp_probes(op.dim, m, rng))
+    S, G = block[:, :n1], block[:, n1 + n2 :]
     before = op.query_count
-    Y = op.matmat(np.hstack([S, R, G]))
+    Y = op.matmat(block)
     W = Y[:, :n1]
     Z = Y[:, n1 : n1 + n2]
     AG = Y[:, n1 + n2 :]

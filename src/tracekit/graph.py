@@ -10,6 +10,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from tracekit.linop import LinearOperator, _size
@@ -207,5 +208,11 @@ def estrada_index_exact(g: Graph) -> float:
         )
     if g.node_count < 1:
         raise ValueError("graph has no nodes")
-    return float(np.exp(np.linalg.eigvalsh(g.adjacency.toarray())).sum())
+    # The adjacency is exactly symmetric, so the transpose of its one dense
+    # copy is the same matrix in Fortran order, which LAPACK factors in place.
+    dense = g.adjacency.toarray().T
+    eigenvalues = scipy.linalg.eigh(
+        dense, eigvals_only=True, driver="evd", overwrite_a=True, check_finite=False
+    )
+    return float(np.exp(eigenvalues).sum())
 

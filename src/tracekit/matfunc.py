@@ -85,9 +85,9 @@ def lanczos_decompose(
         betas[j - 1] = beta
         V[:, j] = w / beta
     return LanczosDecomposition(
-        alphas=alphas[:j].copy(),
-        betas=betas[: j - 1].copy(),
-        basis=V[:, :j].copy(),
+        alphas=alphas[:j],
+        betas=betas[: j - 1],
+        basis=V[:, :j],
         iterations=j,
     )
 

@@ -1,14 +1,21 @@
-"""Test instruments: a dense spectral oracle and a query-recording wrapper.
+"""Test instruments: a dense spectral oracle, a query-recording wrapper and
+a peak-memory probe.
 
-Neither is part of the package.  ``DenseReference`` supplies exact spectral
-quantities to check the randomized estimators against, and
+None is part of the package.  ``DenseReference`` supplies exact spectral
+quantities to check the randomized estimators against,
 ``RecordingOperator`` keeps the blocks an estimator queried, for the
-accounting and non-adaptivity tests.
+accounting and non-adaptivity tests, and ``peak_rss_growth`` measures how far
+one call raises a fresh interpreter's peak resident set.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import subprocess
+import sys
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -104,3 +111,75 @@ class DenseReference:
         if k >= self.dim:
             return 0.0
         return float(np.sqrt(self._tail_sq[k]))
+
+
+#: Environment that pins every BLAS the interpreter may load to one thread.
+#: It must be set before numpy loads, so it applies to subprocesses.
+ONE_BLAS_THREAD = {
+    var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+}
+
+_ROOT = Path(__file__).resolve().parent.parent
+_SRC = _ROOT / "src"
+
+# The peak is read as VmHWM, the high-water mark of the interpreter's own
+# address space.  A spawned child's ru_maxrss starts at the peak of the
+# process it was spawned from (Linux keeps the larger of the two across
+# exec), so under a test runner bigger than the child it under-reports.
+_PEAK_GROWTH = """
+import sys
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+sys.path.insert(0, sys.argv[1])
+exec(sys.argv[2])
+before = peak_kib()
+exec(sys.argv[3])
+print(peak_kib() - before)
+"""
+
+
+def peak_rss_growth(setup: str, call: str) -> int:
+    """Bytes by which ``call`` raises the peak resident set.
+
+    Runs ``setup`` and then ``call`` in a fresh interpreter at one BLAS
+    thread, with the package's sources importable, and returns the growth
+    of the peak resident set across ``call`` (Linux only).  The growth is
+    the call's own peak only if ``setup`` leaves its own peak resident, so
+    setup should keep what it builds rather than build and free large
+    temporaries.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_GROWTH, str(_SRC), setup, call],
+        env={**os.environ, **ONE_BLAS_THREAD},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) * 1024
+
+
+def blas_builds() -> str:
+    """The numpy and scipy versions running, each with the BLAS it bundles."""
+    import scipy
+
+    def blas(pkg):
+        build = pkg.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{build.get('name')} {build.get('version')}"
+
+    return (
+        f"numpy {np.__version__} ({blas(np)}), "
+        f"scipy {scipy.__version__} ({blas(scipy)})"
+    )
+
+
+def perfbench_module(name: str):
+    """Load ``perfbench/<name>.py`` read-only, as module ``perfbench_<name>``."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", _ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

@@ -159,12 +159,12 @@ def _rate_separation_checks(exponent: float) -> dict[str, bool]:
 
 def test_criterion_05_convergence_rate_separation():
     # Known-red configuration: with eigenvalues i^(-1/2) at d=1000 the
-    # deflated Frobenius tail shrinks only logarithmically, so the measured
-    # deflation slope is about -0.66 +/- 0.03 (band wants <= -0.70) and the
-    # plain/deflated crossover sits near m = 3 * d^(2/3) = 300, so strict
-    # dominance at m=60 fails for essentially every seed (16/16 in a seed
-    # study; median ratio 1.06-1.31 at m=60).  The checks are kept as stated
-    # rather than tuned to pass.
+    # deflated Frobenius tail shrinks only logarithmically.  Over seeds 0-15
+    # the hutch_pp slope was -0.62..-0.74 and the na_hutch_pp slope
+    # -0.58..-0.72 (band wants <= -0.70), and hutch_pp's median error
+    # exceeded hutchinson's at m=60 on 16/16 seeds (ratio 1.07-1.34); the
+    # median ratio over seeds crosses 1 between m=120 (1.05) and m=240
+    # (0.91).  The checks are kept as stated rather than tuned to pass.
     t0 = time.time()
     checks = _rate_separation_checks(exponent=0.5)
     ok = all(checks.values())

@@ -22,6 +22,8 @@ from tracekit.graph import (
 )
 from tracekit.matfunc import PowerOperator
 
+from oracles import blas_builds, peak_rss_growth, perfbench_module
+
 
 def _triangle() -> Graph:
     return parse_edge_list("0 1\n1 2\n2 0\n")
@@ -352,6 +354,53 @@ def test_estrada_matches_the_dense_loop_build_bitwise():
         B[u, v] = 1.0
         B[v, u] = 1.0
     assert estrada_index_exact(g) == float(np.exp(np.linalg.eigvalsh(B)).sum())
+
+
+def test_estrada_matches_eigvalsh_bitwise_at_benchmark_size(tmp_path):
+    # The graph_estrada benchmark graph (1,500 nodes, mean degree 12).  The
+    # oracle factors with scipy's LAPACK, the reference with numpy's; each
+    # bundles its own OpenBLAS build.
+    path = tmp_path / "g.txt"
+    perfbench_module("graphgen").write_geometric_graph(path, 1500, 12.0, 0)
+    g = load_edge_list(path)
+    want = float(np.exp(np.linalg.eigvalsh(g.adjacency.toarray())).sum())
+    got = estrada_index_exact(g)
+    assert got == want, f"{got!r} != {want!r} with {blas_builds()}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_adjacency_is_exactly_symmetric(data):
+    # The Estrada oracle factors the transposed dense copy in place, which is
+    # the same matrix only because the adjacency equals its transpose.
+    n = data.draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    pairs = data.draw(st.sets(st.tuples(node, node).map(sorted).map(tuple)
+                              .filter(lambda e: e[0] != e[1])))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(sorted(pairs), flips)]
+    dense = Graph(node_count=n, edges=edges).adjacency.toarray()
+    assert (dense == dense.T).all()
+
+
+def test_estrada_oracle_holds_one_dense_copy():
+    # One n x n float64 copy is 32 MB at 2,000 nodes.  Every node links to
+    # the nodes 1, 251, 501 and 751 places further around the ring, so every 4 KiB
+    # page of the dense copy holds an edge and is resident.  Handing the copy
+    # to np.linalg.eigvalsh, which copies it into a LAPACK buffer, grew the
+    # peak by about 65 MB; factoring it in place grows it by about 33 MB.
+    n = 2000
+    setup = (
+        "import numpy as np\n"
+        "from tracekit.graph import Graph, estrada_index_exact\n"
+        f"ring = np.arange({n})\n"
+        "edges = [np.stack([ring, (ring + step) % ring.size], axis=1)"
+        " for step in (1, 251, 501, 751)]\n"
+        f"g = Graph(node_count={n}, edges=np.concatenate(edges))\n"
+        "g.adjacency\n"
+    )
+    growth = peak_rss_growth(setup, "estrada_index_exact(g)")
+    assert growth <= 1.5 * n * n * 8, f"peak grew by {growth / 1e6:.1f} MB"
 
 
 def test_estrada_complete_graph():

@@ -11,12 +11,13 @@ seed 0 in one subprocess, because the BLAS thread count must be set before
 numpy loads.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from oracles import ONE_BLAS_THREAD, blas_builds, perfbench_module
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -39,34 +40,11 @@ print(json.dumps(out))
 """
 
 
-def _gate():
-    spec = importlib.util.spec_from_file_location("perfbench_gate", PERFBENCH / "gate.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-def _running_versions() -> str:
-    import numpy
-    import scipy
-
-    def blas(pkg):
-        build = pkg.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        return f"{build.get('name')} {build.get('version')}"
-
-    return (
-        f"numpy {numpy.__version__} ({blas(numpy)}), "
-        f"scipy {scipy.__version__} ({blas(scipy)})"
-    )
-
-
 def test_workloads_replay_their_reference_csv_bytes(tmp_path):
-    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     proc = subprocess.run(
         [sys.executable, "-c", _REPLAY, str(ROOT / "src"), str(PERFBENCH), str(tmp_path),
          str(INPUT_SEED)],
-        env={**os.environ, **threads},
+        env={**os.environ, **ONE_BLAS_THREAD},
         capture_output=True,
         text=True,
         timeout=300,
@@ -79,12 +57,12 @@ def test_workloads_replay_their_reference_csv_bytes(tmp_path):
         assert record["blas_threads"] == 1
         want, got = record["csv"][str(INPUT_SEED)], produced.pop(record["workload"])
         if got != want:
-            gate = _gate()
+            gate = perfbench_module("gate")
             cells = list(gate.parse_csv(want))
             mismatches[record["workload"]] = gate.check_csv(got, want, cells).problems or [
                 "bytes differ within the gate's tolerance"
             ]
     assert not produced, f"workloads without a reference: {sorted(produced)}"
     assert not mismatches, (
-        f"{mismatches}\nrecorded with: {RECORDED_WITH}\nrunning:       {_running_versions()}"
+        f"{mismatches}\nrecorded with: {RECORDED_WITH}\nrunning:       {blas_builds()}"
     )

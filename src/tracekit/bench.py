@@ -263,7 +263,7 @@ def _fmt(x: float) -> str:
 def emit_csv(stats: list[TrialStats], destination) -> None:
     """Write sweep rows as CSV (LF endings, >= 12 significant digits).
 
-    destination is a path or a file-like object with write().
+    destination is a file path; an existing file is overwritten.
     """
     lines = [_CSV_HEADER]
     for s in stats:
@@ -279,9 +279,5 @@ def emit_csv(stats: list[TrialStats], destination) -> None:
                 ]
             )
         )
-    content = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(content)
-    else:
-        with open(destination, "w", newline="") as fh:
-            fh.write(content)
+    with open(destination, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")

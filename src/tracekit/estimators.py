@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tracekit.linop import (
-    Distribution,
     LinearOperator,
     _size,
-    as_generator,
     orthonormalize,
     pseudoinverse,
     sample_probes,
@@ -110,18 +108,17 @@ def _trace_inner(X: np.ndarray, Y: np.ndarray) -> float:
 def hutchinson(
     op: LinearOperator,
     m: int,
-    distribution: Distribution | str = Distribution.RADEMACHER,
+    distribution: str = "rademacher",
     rng=None,
 ) -> TraceEstimate:
     """Plain Hutchinson estimate (1/m) * sum_i g_i^T A g_i with m probes.
 
-    Unbiased for any distribution with i.i.d. zero-mean unit-variance
-    entries.  Rademacher probes are exact on diagonal operators since
-    g_i^2 = 1 entrywise.
+    ``distribution`` is ``"rademacher"`` or ``"gaussian"``.  Unbiased for
+    either, as for any i.i.d. zero-mean unit-variance entries.  Rademacher
+    probes are exact on diagonal operators since g_i^2 = 1 entrywise.
     """
     m = _hutchinson_split(m)
-    gen = as_generator(rng)
-    G = sample_probes(op.dim, m, distribution, gen).entries
+    G = sample_probes(op.dim, m, distribution, rng).entries
     before = op.query_count
     Y = op.matmat(G)
     value = _trace_inner(G, Y) / m
@@ -176,10 +173,9 @@ def hutch_pp(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     the true count.
     """
     b = _hutch_pp_split(m)
-    gen = as_generator(rng)
-    g_sketch, g_resid = gen.spawn(2)
-    S = sample_probes(op.dim, b, Distribution.RADEMACHER, g_sketch).entries
-    G = sample_probes(op.dim, b, Distribution.RADEMACHER, g_resid).entries
+    g_sketch, g_resid = np.random.default_rng(rng).spawn(2)
+    S = sample_probes(op.dim, b, "rademacher", g_sketch).entries
+    G = sample_probes(op.dim, b, "rademacher", g_resid).entries
     return _deflated_estimate(op, S, G, "hutch_pp")
 
 
@@ -192,10 +188,9 @@ def hutch_pp_gauss(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     average uses the factor 2/(m-2).
     """
     n_sketch, n_resid = _hutch_pp_gauss_split(m)
-    gen = as_generator(rng)
-    g_sketch, g_resid = gen.spawn(2)
-    S = sample_probes(op.dim, n_sketch, Distribution.GAUSSIAN, g_sketch).entries
-    G = sample_probes(op.dim, n_resid, Distribution.RADEMACHER, g_resid).entries
+    g_sketch, g_resid = np.random.default_rng(rng).spawn(2)
+    S = sample_probes(op.dim, n_sketch, "gaussian", g_sketch).entries
+    G = sample_probes(op.dim, n_resid, "rademacher", g_resid).entries
     return _deflated_estimate(op, S, G, "hutch_pp_gauss")
 
 
@@ -210,11 +205,10 @@ def na_hutch_pp_probes(
     >= 1; leftover budget is discarded.
     """
     n1, n2, n3 = _na_hutch_pp_split(m)
-    gen = as_generator(rng)
-    g1, g2, g3 = gen.spawn(3)
-    S = sample_probes(d, n1, Distribution.RADEMACHER, g1).entries
-    R = sample_probes(d, n2, Distribution.RADEMACHER, g2).entries
-    G = sample_probes(d, n3, Distribution.RADEMACHER, g3).entries
+    g1, g2, g3 = np.random.default_rng(rng).spawn(3)
+    S = sample_probes(d, n1, "rademacher", g1).entries
+    R = sample_probes(d, n2, "rademacher", g2).entries
+    G = sample_probes(d, n3, "rademacher", g3).entries
     return S, R, G
 
 
@@ -273,8 +267,7 @@ def subspace_projection(
     """
     q = _size(iterations_q, "iterations_q")
     k = _subspace_projection_split(m, q)
-    gen = as_generator(rng)
-    S = sample_probes(op.dim, k, Distribution.RADEMACHER, gen).entries
+    S = sample_probes(op.dim, k, "rademacher", rng).entries
     before = op.query_count
     Q = orthonormalize(op.matmat(S))
     for _ in range(q - 1):

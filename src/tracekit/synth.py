@@ -8,13 +8,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from tracekit.linop import (
-    DenseOperator,
-    _require_finite,
-    _size,
-    as_generator,
-    orthonormalize,
-)
+from tracekit.linop import DenseOperator, _require_finite, _size, orthonormalize
 
 __all__ = [
     "SpectrumSpec",
@@ -59,7 +53,7 @@ def power_law_matrix(spec: SpectrumSpec, rng=None) -> tuple[np.ndarray, DenseOpe
     symmetrized to kill rounding asymmetry.  Eigenvalues match the requested
     i^(-c) law to working precision.
     """
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     d = spec.dim
     Q = orthonormalize(gen.standard_normal((d, d)))
     lam = spec.eigenvalues
@@ -80,9 +74,12 @@ def gaussian_kernel_matrix(points, gamma: float) -> np.ndarray:
     gamma = float(gamma)
     if not gamma > 0.0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    sq_dists = cdist(pts, pts, metric="sqeuclidean")
-    B = np.exp(-gamma * sq_dists)
-    B = (B + B.T) / 2.0
+    # Exactly symmetric: (a-b)^2 == (b-a)^2 in IEEE arithmetic, summed in
+    # the same coordinate order for both pairs.  One n x n buffer, scaled
+    # and exponentiated in place.
+    B = cdist(pts, pts, metric="sqeuclidean")
+    B *= -gamma
+    np.exp(B, out=B)
     np.fill_diagonal(B, 1.0)
     return B
 
@@ -90,7 +87,7 @@ def gaussian_kernel_matrix(points, gamma: float) -> np.ndarray:
 def synthetic_2d_points(n: int, rng=None) -> np.ndarray:
     """n uniform points in the unit square, seed-reproducible; shape (n, 2)."""
     n = _size(n, "n")
-    return as_generator(rng).random((n, 2))
+    return np.random.default_rng(rng).random((n, 2))
 
 
 def load_points(path) -> np.ndarray:

@@ -219,6 +219,16 @@ def test_hutch_pp_gauss_budget_validation_names_neighbors():
         hutch_pp_gauss(op, 7)
 
 
+@pytest.mark.parametrize(
+    "m, nearest", [(4, "6"), (8, "6 and 10"), (12, "10 and 14")]
+)
+def test_hutch_pp_gauss_names_the_nearest_valid_budgets(m, nearest):
+    # One budget below the smallest valid one, and one each side of a
+    # valid pair, so both branches of the message are pinned.
+    with pytest.raises(ValueError, match=f"nearest valid budgets: {nearest}$"):
+        hutch_pp_gauss(DiagonalOperator(np.ones(4)), m)
+
+
 def test_hutch_pp_gauss_unbiased_on_identity():
     op = DenseOperator(np.eye(4))
     vals = np.array(

@@ -11,7 +11,6 @@ from tracekit.graph import AdjacencyOperator, Graph
 from tracekit.linop import (
     DenseOperator,
     DiagonalOperator,
-    Distribution,
     orthonormalize,
     pseudoinverse,
     sample_probes,
@@ -166,12 +165,11 @@ def test_probes_rademacher_entries_exact():
     pm = sample_probes(4, 2, "rademacher", rng=0)
     assert set(np.unique(pm.entries)) <= {-1.0, 1.0}
     assert pm.entries.shape == (4, 2)
-    assert pm.distribution is Distribution.RADEMACHER
 
 
 def test_probes_gaussian_moments():
     # Standard error of the mean at n=1000 is ~0.032; 0.15 is ~5 sigma.
-    pm = sample_probes(1000, 1, Distribution.GAUSSIAN, rng=123)
+    pm = sample_probes(1000, 1, "gaussian", rng=123)
     col = pm.entries[:, 0]
     assert abs(col.mean()) < 0.15
     assert abs(col.var() - 1.0) < 0.15
@@ -181,6 +179,20 @@ def test_probes_deterministic_for_seed():
     a = sample_probes(50, 3, "gaussian", rng=99).entries
     b = sample_probes(50, 3, "gaussian", rng=99).entries
     np.testing.assert_array_equal(a, b)
+
+
+def test_probes_advance_a_passed_generator_in_place():
+    gen = np.random.default_rng(5)
+    first = sample_probes(6, 2, "gaussian", gen).entries
+    second = sample_probes(6, 2, "gaussian", gen).entries
+    fresh = np.random.default_rng(5)
+    np.testing.assert_array_equal(first, fresh.standard_normal((6, 2)))
+    np.testing.assert_array_equal(second, fresh.standard_normal((6, 2)))
+
+
+def test_probes_take_exact_lowercase_names():
+    with pytest.raises(ValueError, match="expected one of: rademacher, gaussian$"):
+        sample_probes(4, 1, "Gaussian", rng=0)
 
 
 def test_probes_argument_errors():

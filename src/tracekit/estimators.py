@@ -94,10 +94,9 @@ def _na_hutch_pp_split(m: int) -> tuple[int, int, int]:
     return n1, n2, n3
 
 
-def _subspace_projection_split(m: int, iterations_q: int = 1) -> int:
-    # k columns, each spent q+1 times.
-    rounds = iterations_q + 1
-    return _size(m, "subspace_projection budget m", minimum=rounds) // rounds
+def _subspace_projection_split(m: int) -> int:
+    # k columns, each spent twice: A S and A Q.
+    return _size(m, "subspace_projection budget m", minimum=2) // 2
 
 
 def _trace_inner(X: np.ndarray, Y: np.ndarray) -> float:
@@ -130,30 +129,39 @@ def hutchinson(
     )
 
 
+def _project(op: LinearOperator, S: np.ndarray) -> tuple[np.ndarray, float]:
+    # The sketch-and-project step: Q spans A*S, and trace(Q^T A Q) is the
+    # exact trace of A restricted to that span.  A rank-0 Q costs no A*Q
+    # queries and gives 0.0.
+    Q = orthonormalize(op.matmat(S))
+    return Q, _trace_inner(Q, op.matmat(Q))
+
+
 def _deflated_estimate(
     op: LinearOperator,
-    S: np.ndarray,
-    G: np.ndarray,
+    n_sketch: int,
+    sketch_distribution: str,
+    n_resid: int,
+    rng,
     estimator: str,
 ) -> TraceEstimate:
     # Shared core of hutch_pp and hutch_pp_gauss: project out the span of
-    # A*S exactly, then run Hutchinson on the deflated remainder.  The
-    # deflated quadratic form g^T (I-QQ^T) A (I-QQ^T) g needs only one
-    # multiply per probe because (I-QQ^T) is idempotent: deflate g first,
-    # then apply A.
+    # A*S exactly, then run Hutchinson with Rademacher probes G on the
+    # deflated remainder.  The deflated quadratic form
+    # g^T (I-QQ^T) A (I-QQ^T) g needs only one multiply per probe because
+    # (I-QQ^T) is idempotent: deflate g first, then apply A.
+    g_sketch, g_resid = np.random.default_rng(rng).spawn(2)
+    S = sample_probes(op.dim, n_sketch, sketch_distribution, g_sketch).entries
+    G = sample_probes(op.dim, n_resid, "rademacher", g_resid).entries
     before = op.query_count
-    AS = op.matmat(S)
-    Q = orthonormalize(AS)
-    # A rank-0 Q costs no queries, gives leading 0.0 and leaves G unchanged.
-    leading = _trace_inner(Q, op.matmat(Q))
+    Q, leading = _project(op, S)
     G_def = G - Q @ (Q.T @ G)
-    AG = op.matmat(G_def)
-    residual = _trace_inner(G_def, AG) / G.shape[1]
+    residual = _trace_inner(G_def, op.matmat(G_def)) / n_resid
     return TraceEstimate(
         value=leading + residual,
         matvecs_used=op.query_count - before,
         estimator=estimator,
-        split={"sketch": S.shape[1], "basis": Q.shape[1], "residual": G.shape[1]},
+        split={"sketch": n_sketch, "basis": Q.shape[1], "residual": n_resid},
     )
 
 
@@ -173,10 +181,7 @@ def hutch_pp(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     the true count.
     """
     b = _hutch_pp_split(m)
-    g_sketch, g_resid = np.random.default_rng(rng).spawn(2)
-    S = sample_probes(op.dim, b, "rademacher", g_sketch).entries
-    G = sample_probes(op.dim, b, "rademacher", g_resid).entries
-    return _deflated_estimate(op, S, G, "hutch_pp")
+    return _deflated_estimate(op, b, "rademacher", b, rng, "hutch_pp")
 
 
 def hutch_pp_gauss(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
@@ -188,10 +193,7 @@ def hutch_pp_gauss(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     average uses the factor 2/(m-2).
     """
     n_sketch, n_resid = _hutch_pp_gauss_split(m)
-    g_sketch, g_resid = np.random.default_rng(rng).spawn(2)
-    S = sample_probes(op.dim, n_sketch, "gaussian", g_sketch).entries
-    G = sample_probes(op.dim, n_resid, "rademacher", g_resid).entries
-    return _deflated_estimate(op, S, G, "hutch_pp_gauss")
+    return _deflated_estimate(op, n_sketch, "gaussian", n_resid, rng, "hutch_pp_gauss")
 
 
 def na_hutch_pp_probes(
@@ -251,34 +253,23 @@ def na_hutch_pp(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     )
 
 
-def subspace_projection(
-    op: LinearOperator,
-    m: int,
-    iterations_q: int = 1,
-    rng=None,
-) -> TraceEstimate:
-    """Projection-only baseline: trace of A restricted to a sketched subspace.
+def subspace_projection(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
+    """Projection-only baseline: Hutch++'s first term, trace(Q^T A Q), alone.
 
-    With k = floor(m/(q+1)): runs q rounds of subspace iteration from a
-    d x k Rademacher block (Q_0 = orth(A S), then Q_i = orth(A Q_{i-1})) and
-    returns trace(Q^T A Q).  Spends at most k(q+1) matvecs; a rank-deficient
-    sketch spends fewer.  Biased: it misses the trace mass outside the
-    captured subspace, so it only wins when the spectrum decays fast.
+    With k = floor(m/2): Q = orthonormalize(A S) for a d x k Rademacher
+    block S.  Spends at most 2k matvecs; a rank-deficient sketch spends
+    fewer.  Biased: it misses the trace mass outside the captured subspace,
+    so it only wins when the spectrum decays fast.
     """
-    q = _size(iterations_q, "iterations_q")
-    k = _subspace_projection_split(m, q)
+    k = _subspace_projection_split(m)
     S = sample_probes(op.dim, k, "rademacher", rng).entries
     before = op.query_count
-    Q = orthonormalize(op.matmat(S))
-    for _ in range(q - 1):
-        if Q.shape[1] == 0:
-            break
-        Q = orthonormalize(op.matmat(Q))
+    Q, value = _project(op, S)
     return TraceEstimate(
-        value=_trace_inner(Q, op.matmat(Q)),
+        value=value,
         matvecs_used=op.query_count - before,
         estimator="subspace_projection",
-        split={"sketch": k, "rounds": q, "projection": Q.shape[1]},
+        split={"sketch": k, "projection": Q.shape[1]},
     )
 
 

@@ -194,8 +194,6 @@ def triangle_count_exact(g: Graph) -> int:
     With U the strictly upper adjacency triangle, (U @ U)[i, k] counts the
     paths i < j < k, so masking by U[i, k] counts each triangle once.
     """
-    if g.edge_count == 0:
-        return 0
     U = scipy.sparse.triu(g.adjacency, k=1, format="csr")
     return int((U @ U).multiply(U).sum())
 

@@ -74,10 +74,6 @@ class LinearOperator:
         with self._lock:
             return self._query_count
 
-    def _count(self, k: int) -> None:
-        with self._lock:
-            self._query_count += k
-
     def _apply_block(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
         raise NotImplementedError
 
@@ -110,16 +106,14 @@ class LinearOperator:
     def _query(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
         # The one query path.  matvec calls it directly, not through matmat,
         # so a profiler wrapping both public methods sees one query per call.
-        _require_finite(X, f"{type(self).__name__} input")
-        Y = self._apply_block(X)
-        self._count(X.shape[1])
-        self._check_output(Y)
-        return Y
-
-    def _check_output(self, Y: NDArray[np.float64]) -> None:
         # A nan or inf from any operator stops the caller here instead of
         # reaching an estimate (or the CSV).
+        _require_finite(X, f"{type(self).__name__} input")
+        Y = self._apply_block(X)
+        with self._lock:
+            self._query_count += X.shape[1]
         _require_finite(Y, f"{type(self).__name__} output")
+        return Y
 
     def clone(self) -> "LinearOperator":
         """Fresh operator sharing read-only data but with a zeroed counter."""

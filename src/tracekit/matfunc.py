@@ -174,6 +174,3 @@ class PowerOperator(WrappedOperator):
         for _ in range(self._q):
             Y = self._inner.matmat(Y)
         return Y
-
-    def _check_output(self, Y):
-        """No-op: Y is the inner operator's last matmat result, checked there."""

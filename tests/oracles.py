@@ -11,7 +11,6 @@ one call raises a fresh interpreter's peak resident set.
 from __future__ import annotations
 
 import importlib.util
-import os
 import subprocess
 import sys
 from functools import cached_property
@@ -113,12 +112,6 @@ class DenseReference:
         return float(np.sqrt(self._tail_sq[k]))
 
 
-#: Environment that pins every BLAS the interpreter may load to one thread.
-#: It must be set before numpy loads, so it applies to subprocesses.
-ONE_BLAS_THREAD = {
-    var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-}
-
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = _ROOT / "src"
 
@@ -142,16 +135,17 @@ print(peak_kib() - before)
 def peak_rss_growth(setup: str, call: str) -> int:
     """Bytes by which ``call`` raises the peak resident set.
 
-    Runs ``setup`` and then ``call`` in a fresh interpreter at one BLAS
-    thread, with the package's sources importable, and returns the growth
-    of the peak resident set across ``call`` (Linux only).  The growth is
+    Runs ``setup`` and then ``call`` in a fresh interpreter with the
+    package's sources importable, and returns the growth of the peak
+    resident set across ``call`` (Linux only).  The interpreter inherits the
+    test run's environment, so the one BLAS thread the root conftest.py
+    sets.  The growth is
     the call's own peak only if ``setup`` leaves its own peak resident, so
     setup should keep what it builds rather than build and free large
     temporaries.
     """
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_GROWTH, str(_SRC), setup, call],
-        env={**os.environ, **ONE_BLAS_THREAD},
         capture_output=True,
         text=True,
         timeout=300,

@@ -292,7 +292,7 @@ def test_criterion_11_budget_and_non_adaptivity():
     op = RecordingOperator(DenseOperator(A))
     check("hutch_pp_gauss m=14", hutch_pp_gauss(op, 14, rng=1), 14, op)
     op = RecordingOperator(DenseOperator(A))
-    check("subspace k=5 q=2", subspace_projection(op, 15, 2, rng=1), 15, op)
+    check("subspace_projection m=15", subspace_projection(op, 15, rng=1), 14, op)
     op = RecordingOperator(DenseOperator(A))
     check("exact_trace", exact_trace(op), 40, op)
 

@@ -77,8 +77,7 @@ def test_fractional_budgets_and_trials_raise_instead_of_truncating():
         ("iterations", lambda: exp_operator(op, 3.7)),
         ("max_iterations", lambda: lanczos_decompose(op, np.ones(4), 3.7)),
         ("k", lambda: sample_probes(4, 2.5, "rademacher", 0)),
-        ("m", lambda: subspace_projection(op, 5.4, 1)),
-        ("iterations_q", lambda: subspace_projection(op, 4, 1.5)),
+        ("m", lambda: subspace_projection(op, 5.4)),
         ("dim", lambda: SpectrumSpec(5.5, 1.0)),
         ("n", lambda: synthetic_2d_points(3.9)),
         ("dimension", lambda: LinearOperator(4.0)),
@@ -218,8 +217,8 @@ def test_a_sketch_wider_than_the_operator_runs():
 
 
 def test_a_rank_deficient_projection_spends_fewer_than_k_q_plus_1(monkeypatch):
-    # m=14 on d=8: k=7, q=1.  Trial 0's sketch keeps 6 of its 7 columns, so
-    # the projection queries 6 and the trial spends 13 of at most k(q+1)=14.
+    # m=14 on d=8: k=7.  Trial 0's sketch keeps 6 of its 7 columns, so the
+    # projection queries 6 and the trial spends 13 of at most 2k=14.
     spent = []
 
     def recording(*args):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from tracekit import linop
 from tracekit.estimators import exact_trace, hutchinson
 from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator
 from tracekit.matfunc import (
@@ -268,22 +269,26 @@ class _NanOperator(LinearOperator):
 
 
 def test_wrappers_pass_on_checked_inner_output(monkeypatch):
-    # PowerOperator returns an inner matmat result, which the inner operator
-    # has already checked for nan/inf; RecordingOperator checks its own too.
-    checked = []
-    check = LinearOperator._check_output
-
-    def counting(self, Y):
-        checked.append(type(self).__name__)
-        check(self, Y)
-
-    monkeypatch.setattr(LinearOperator, "_check_output", counting)
+    # Every query checks its own input and its own output, so a wrapper
+    # checks what its inner operator already checked; a nan raises first at
+    # the operator that made it.
     A = _sym(6, 17)
-    PowerOperator(DenseOperator(A), 3).matmat(np.ones((6, 2)))
-    assert checked == ["DenseOperator"] * 3
+    power = PowerOperator(DenseOperator(A), 3)
+    recording = RecordingOperator(DenseOperator(A))
+    checked = []
+    check = linop._require_finite
+
+    def labelling(X, what):
+        checked.append(what)
+        check(X, what)
+
+    monkeypatch.setattr(linop, "_require_finite", labelling)
+    power.matmat(np.ones((6, 2)))
+    inner = ["DenseOperator input", "DenseOperator output"]
+    assert checked == ["PowerOperator input", *inner * 3, "PowerOperator output"]
     checked.clear()
-    RecordingOperator(DenseOperator(A)).matvec(np.ones(6))
-    assert checked == ["DenseOperator", "RecordingOperator"]
+    recording.matvec(np.ones(6))
+    assert checked == ["RecordingOperator input", *inner, "RecordingOperator output"]
     for wrapped in (PowerOperator(_NanOperator(4), 3), RecordingOperator(_NanOperator(4))):
         with pytest.raises(ValueError, match="_NanOperator output contains non-finite"):
             wrapped.matmat(np.ones((4, 1)))

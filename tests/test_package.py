@@ -1,12 +1,17 @@
-"""The package namespace (each public name declared once) and a source-level lint."""
+"""The package namespace (each public name declared once) and two lints."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import tracekit
+from tracekit.linop import LinearOperator
 
 MODULES = ("linop", "estimators", "matfunc", "synth", "graph", "bench")
+
+# What a LinearOperator subclass may define again: everything else of the base
+# (the query path, the counter, the shape) is the one shared implementation.
+_OPERATOR_HOOKS = {"__init__", "_apply_block", "clone"}
 
 
 def test_package_all_is_the_union_of_the_module_lists():
@@ -49,5 +54,44 @@ def test_no_size_argument_is_truncated_with_int():
         path.name: calls
         for path in sorted(package.glob("*.py"))
         if (calls := _truncating_int_calls(path.read_text()))
+    }
+    assert not offenders, offenders
+
+
+def _redefined_base_attributes(cls: type) -> set[str]:
+    """The LinearOperator methods and properties that ``cls`` itself redefines."""
+    base = {
+        name for name, value in vars(LinearOperator).items()
+        if callable(value) or isinstance(value, property)
+    }
+    return (base & set(vars(cls))) - _OPERATOR_HOOKS
+
+
+def test_operators_implement_one_kernel():
+    # Each operator supplies _apply_block (and __init__, clone); matvec,
+    # matmat and the checked, counted query path are the base's alone.
+    class Detour(LinearOperator):
+        def _apply_block(self, X):
+            return X
+
+        def matvec(self, x):
+            return x
+
+    assert _redefined_base_attributes(Detour) == {"matvec"}
+    operators = [
+        obj
+        for module in (importlib.import_module(f"tracekit.{name}") for name in MODULES)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, LinearOperator)
+        and obj.__module__ == module.__name__ and obj is not LinearOperator
+    ]
+    assert {cls.__name__ for cls in operators} >= {
+        "DenseOperator", "DiagonalOperator", "WrappedOperator",
+        "LanczosFunctionOperator", "PowerOperator", "AdjacencyOperator",
+    }
+    offenders = {
+        cls.__qualname__: sorted(names)
+        for cls in operators
+        if (names := _redefined_base_attributes(cls))
     }
     assert not offenders, offenders

@@ -110,7 +110,7 @@ class GraphEstradaSource:
             return op, estrada_index_exact(g)
         logger.info("computing exact ground truth for %s: %d operator queries",
                     self.path, op.dim)
-        return op, exact_trace(op.clone()).value
+        return op, exact_trace(op).value
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     # power_law source
     p.add_argument("--c", type=float, default=1.0,
                    help="power-law spectrum exponent (power_law source)")
-    p.add_argument("--d", type=int, default=1000,
+    p.add_argument("--d", type=int, default=PowerLawSource.dim,
                    help="matrix dimension (power_law source)")
     p.add_argument("--no-rotate", action="store_true",
                    help="keep the power-law matrix exactly diagonal")
@@ -78,14 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of synthetic 2-d points (kernel_logdet source)")
     p.add_argument("--points-file", default=None,
                    help="two-column coordinates file; overrides --n-points")
-    p.add_argument("--gamma", type=float, default=64.0,
+    p.add_argument("--gamma", type=float, default=KernelLogDetSource.gamma,
                    help="kernel width parameter (kernel_logdet source)")
-    p.add_argument("--lambda", dest="shift", type=float, default=0.008,
+    p.add_argument("--lambda", dest="shift", type=float, default=KernelLogDetSource.shift,
                    help="diagonal shift for logdet(B + lambda*I)")
     # graph sources
     p.add_argument("--graph", default=None,
                    help="edge-list file (graph_estrada / graph_triangles)")
-    p.add_argument("--lanczos-iters", type=int, default=40,
+    p.add_argument("--lanczos-iters", type=int,
+                   default=GraphEstradaSource.lanczos_iterations,
                    help="Lanczos iterations for matrix-function sources")
     return p
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 import threading
-from copy import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,13 +114,6 @@ class LinearOperator:
         _require_finite(Y, f"{type(self).__name__} output")
         return Y
 
-    def clone(self) -> "LinearOperator":
-        """Fresh operator sharing read-only data but with a zeroed counter."""
-        dup = copy(self)
-        dup._lock = threading.Lock()
-        dup._query_count = 0
-        return dup
-
 
 class DenseOperator(LinearOperator):
     """LinearOperator backed by an explicit square dense matrix."""
@@ -154,27 +146,21 @@ class DiagonalOperator(LinearOperator):
 
 
 class WrappedOperator(LinearOperator):
-    """Operator applied through a private clone of another operator.
+    """Operator applied through the operator it is given, not a copy.
 
     Subclasses apply ``self._inner``.  The wrapper's own query_count is the
-    trace-estimation budget; the multiplies it spends on the wrapped
-    operator are counted apart, as ``inner_matvecs``.  A clone gets its own
-    inner clone, so both counters start from zero.
+    trace-estimation budget; the wrapped operator counts the multiplies spent
+    on it, which ``inner_matvecs`` reads.
     """
 
     def __init__(self, inner: LinearOperator):
         super().__init__(inner.dim)
-        self._inner = inner.clone()
+        self._inner = inner
 
     @property
     def inner_matvecs(self) -> int:
-        """Raw multiplies spent on the wrapped operator by this operator."""
+        """The wrapped operator's own query_count."""
         return self._inner.query_count
-
-    def clone(self):
-        dup = super().clone()
-        dup._inner = self._inner.clone()
-        return dup
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ T is the j x j tridiagonal and V the orthonormal Krylov basis.  Full
 reorthogonalization keeps the basis usable at the iteration counts the
 trace experiments need.  Wrappers expose exp(B), log(B + lambda*I) and exact
 monomial powers B^q (``PowerOperator``); each wrapper counts its own queries
-(the trace budget) while raw multiplies against B are reported separately via
-inner_matvecs.
+(the trace budget), and B counts the raw multiplies against it, which the
+wrapper reports as inner_matvecs.
 """
 
 from __future__ import annotations

@@ -37,11 +37,6 @@ class RecordingOperator(WrappedOperator):
         self.queries.append(X.copy())
         return self._inner.matmat(X)
 
-    def clone(self):
-        dup = super().clone()
-        dup.queries = []
-        return dup
-
 
 class DenseReference:
     """Exact spectral quantities of an explicit square matrix.

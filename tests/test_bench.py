@@ -22,7 +22,12 @@ from tracekit.estimators import ESTIMATORS, hutchinson, run_estimator, subspace_
 from tracekit.graph import Graph
 from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator, sample_probes
 from tracekit.matfunc import PowerOperator, exp_operator, lanczos_decompose
-from tracekit.synth import SpectrumSpec, synthetic_2d_points
+from tracekit.synth import (
+    SpectrumSpec,
+    gaussian_kernel_matrix,
+    load_points,
+    synthetic_2d_points,
+)
 
 
 def _stats(pairs):
@@ -216,7 +221,7 @@ def test_a_sketch_wider_than_the_operator_runs():
     assert (result.value, result.matvecs_used) == (0.0, 7)
 
 
-def test_a_rank_deficient_projection_spends_fewer_than_k_q_plus_1(monkeypatch):
+def test_a_rank_deficient_projection_spends_fewer_than_2k(monkeypatch):
     # m=14 on d=8: k=7.  Trial 0's sketch keeps 6 of its 7 columns, so the
     # projection queries 6 and the trial spends 13 of at most 2k=14.
     spent = []
@@ -314,6 +319,21 @@ def test_kernel_logdet_source_rejects_a_nan_shift():
     # Raised before any ground truth is computed, not at the first query.
     with pytest.raises(ValueError, match="shift lambda"):
         KernelLogDetSource(n_points=5, shift=np.nan).materialize(seed=0)
+
+
+def test_kernel_logdet_source_reads_its_points_file(tmp_path):
+    p = tmp_path / "pts.txt"
+    p.write_text("0.0 0.0\n1.0 0.5\n0.25 1.0\n")
+    source = KernelLogDetSource(n_points=50, points_path=str(p))
+    op, truth = source.materialize(seed=0)
+    assert op.dim == 3  # the file overrides n_points
+    B = gaussian_kernel_matrix(load_points(p), source.gamma)
+    assert truth == np.linalg.slogdet(B + source.shift * np.eye(3))[1]
+    # Two identical points make the kernel singular; 1e-300 does not lift it.
+    p.write_text("0.5 0.5\n0.5 0.5\n")
+    singular = KernelLogDetSource(n_points=2, shift=1e-300, points_path=str(p))
+    with pytest.raises(ValueError, match="not positive definite"):
+        singular.materialize(seed=0)
 
 
 def test_sweep_graph_estrada_source(tmp_path):
@@ -444,16 +464,19 @@ def test_sweep_to_csv_is_byte_deterministic(tmp_path):
 
 
 def test_cli_source_table_builds_each_source():
+    # A flagless CLI source is the dataclass built from its required fields
+    # alone, so the CLI's defaults are the sources' own; both Lanczos sources
+    # share --lanczos-iters, so their defaults must agree too.
     expected = {
-        "power_law": PowerLawSource,
-        "kernel_logdet": KernelLogDetSource,
-        "graph_estrada": GraphEstradaSource,
-        "graph_triangles": GraphTrianglesSource,
+        "power_law": PowerLawSource(exponent=1.0),
+        "kernel_logdet": KernelLogDetSource(n_points=400),
+        "graph_estrada": GraphEstradaSource(path="g.txt"),
+        "graph_triangles": GraphTrianglesSource(path="g.txt"),
     }
     assert list(cli._SOURCES) == list(expected)
-    for name, source_class in expected.items():
+    for name, source in expected.items():
         args = build_parser().parse_args(["--source", name, "--graph", "g.txt"])
-        assert type(cli._SOURCES[name](args)) is source_class
+        assert cli._SOURCES[name](args) == source
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -35,7 +35,7 @@ def test_hutchinson_identity_exact():
     for d in (2, 7, 33):
         op = DiagonalOperator(np.ones(d))
         for seed in range(5):
-            est = hutchinson(op.clone(), 4, "rademacher", rng=seed)
+            est = hutchinson(op, 4, "rademacher", rng=seed)
             assert est.value == float(d)
 
 
@@ -44,7 +44,7 @@ def test_hutchinson_diagonal_sign_probes_exact():
     op = DiagonalOperator([1.0, 2.0, 3.0])
     for m in (1, 3, 10):
         for seed in range(10):
-            est = hutchinson(op.clone(), m, "rademacher", rng=seed)
+            est = hutchinson(op, m, "rademacher", rng=seed)
             assert est.value == 6.0
             assert est.matvecs_used == m
 
@@ -57,8 +57,7 @@ def test_hutchinson_gaussian_variance_oracle():
     A = X @ X.T
     op = DenseOperator(A)
     vals = np.array(
-        [hutchinson(op.clone(), 10, "gaussian", rng=_rng(77, t)).value
-         for t in range(20000)]
+        [hutchinson(op, 10, "gaussian", rng=_rng(77, t)).value for t in range(20000)]
     )
     expected = (2.0 / 10.0) * np.linalg.norm(A) ** 2
     assert vals.var(ddof=1) == pytest.approx(expected, rel=0.15)
@@ -80,7 +79,7 @@ def test_hutch_pp_rank_one_exact_capture():
     A = np.outer(v, v)
     op = DenseOperator(A)
     for seed in range(25):
-        est = hutch_pp(op.clone(), 3, rng=seed)
+        est = hutch_pp(op, 3, rng=seed)
         assert est.value == pytest.approx(9.0, rel=1e-9)
         assert est.split == {"sketch": 1, "basis": 1, "residual": 1}
 
@@ -90,7 +89,7 @@ def test_hutch_pp_unbiased_on_identity():
     # estimated without bias; mean over 1e4 seeds stays within 3 SEs.
     op = DenseOperator(np.eye(3))
     vals = np.array(
-        [hutch_pp(op.clone(), 3, rng=_rng(78, t)).value for t in range(10000)]
+        [hutch_pp(op, 3, rng=_rng(78, t)).value for t in range(10000)]
     )
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - 3.0) <= 3.0 * se
@@ -102,11 +101,11 @@ def test_hutch_pp_beats_hutchinson_fast_decay():
     A, op = power_law_matrix(SpectrumSpec(1000, 2.0), rng=5)
     tr = np.trace(A)
     hp = [
-        abs(hutch_pp(op.clone(), 60, rng=_rng(81, t)).value - tr) / tr
+        abs(hutch_pp(op, 60, rng=_rng(81, t)).value - tr) / tr
         for t in range(200)
     ]
     hu = [
-        abs(hutchinson(op.clone(), 60, rng=_rng(82, t)).value - tr) / tr
+        abs(hutchinson(op, 60, rng=_rng(82, t)).value - tr) / tr
         for t in range(200)
     ]
     assert np.median(hp) < np.median(hu)
@@ -150,7 +149,7 @@ def test_na_hutch_pp_unbiased():
     op = DiagonalOperator(lam)
     tr = lam.sum()
     vals = np.array(
-        [na_hutch_pp(op.clone(), 100, rng=_rng(80, t)).value for t in range(10000)]
+        [na_hutch_pp(op, 100, rng=_rng(80, t)).value for t in range(10000)]
     )
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - tr) <= 3.0 * se
@@ -189,10 +188,10 @@ def test_na_hutch_pp_holds_its_probes_once():
     # (hutchinson's) with S and G as views of it.
     d, m = 2000, 240
     op = DiagonalOperator(np.linspace(1.0, 2.0, d))
-    na_hutch_pp(op.clone(), m, rng=0)  # warm up before tracing
+    na_hutch_pp(op, m, rng=0)  # warm up before tracing
     tracemalloc.start()
     try:
-        na_hutch_pp(op.clone(), m, rng=5)
+        na_hutch_pp(op, m, rng=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -232,7 +231,7 @@ def test_hutch_pp_gauss_names_the_nearest_valid_budgets(m, nearest):
 def test_hutch_pp_gauss_unbiased_on_identity():
     op = DenseOperator(np.eye(4))
     vals = np.array(
-        [hutch_pp_gauss(op.clone(), 6, rng=_rng(79, t)).value for t in range(10000)]
+        [hutch_pp_gauss(op, 6, rng=_rng(79, t)).value for t in range(10000)]
     )
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - 4.0) <= 3.0 * se
@@ -247,7 +246,7 @@ def test_hutch_pp_gauss_exact_low_rank_capture():
     tr = np.trace(A)
     op = DenseOperator(A)
     for seed in range(20):
-        est = hutch_pp_gauss(op.clone(), 10, rng=seed)
+        est = hutch_pp_gauss(op, 10, rng=seed)
         assert est.value == pytest.approx(tr, rel=1e-9)
         # A S has rank 2, so the basis block shrinks and the count is honest.
         assert est.split["basis"] == 2
@@ -261,7 +260,7 @@ def test_hutch_pp_gauss_variance_bound_smoke():
     op = DiagonalOperator(lam)
     tr = lam.sum()
     vals = np.array(
-        [hutch_pp_gauss(op.clone(), 26, rng=_rng(90, t)).value for t in range(3000)]
+        [hutch_pp_gauss(op, 26, rng=_rng(90, t)).value for t in range(3000)]
     )
     bound = 16.0 / (26 - 2) ** 2 * tr**2
     assert vals.var(ddof=1) <= 1.1 * bound
@@ -276,7 +275,7 @@ def test_hutch_pp_gauss_variance_bound_smoke():
 def test_subspace_projection_identity_is_k():
     op = DenseOperator(np.eye(9))
     for seed in range(5):
-        est = subspace_projection(op.clone(), 8, rng=seed)
+        est = subspace_projection(op, 8, rng=seed)
         assert est.value == pytest.approx(4.0, rel=1e-12)
         assert est.matvecs_used == 8  # 2k
 
@@ -284,7 +283,7 @@ def test_subspace_projection_identity_is_k():
 def test_subspace_projection_captures_dominant_eigenvalue():
     op = DiagonalOperator([10.0, 1e-6, 1e-6])
     for seed in range(10):
-        est = subspace_projection(op.clone(), 2, rng=seed)
+        est = subspace_projection(op, 2, rng=seed)
         assert est.value == pytest.approx(10.0, abs=1e-4)
 
 
@@ -294,11 +293,11 @@ def test_subspace_projection_loses_on_slow_decay():
     A, op = power_law_matrix(SpectrumSpec(1000, 0.5), rng=6)
     tr = np.trace(A)
     sp = [
-        abs(subspace_projection(op.clone(), 60, rng=_rng(83, t)).value - tr) / tr
+        abs(subspace_projection(op, 60, rng=_rng(83, t)).value - tr) / tr
         for t in range(200)
     ]
     hu = [
-        abs(hutchinson(op.clone(), 60, rng=_rng(84, t)).value - tr) / tr
+        abs(hutchinson(op, 60, rng=_rng(84, t)).value - tr) / tr
         for t in range(200)
     ]
     assert np.median(sp) > np.median(hu)
@@ -314,10 +313,10 @@ def test_subspace_projection_argument_errors():
 def test_subspace_projection_spends_2k_of_floor_m_over_2():
     # m = 11: k = 5 columns, 10 matvecs, the same probes as m = 10.
     _, op = power_law_matrix(SpectrumSpec(40, 1.0), rng=5)
-    est = subspace_projection(op.clone(), 11, rng=4)
+    est = subspace_projection(op, 11, rng=4)
     assert est.matvecs_used == 10
     assert est.split == {"sketch": 5, "projection": 5}
-    assert est.value == subspace_projection(op.clone(), 10, rng=4).value
+    assert est.value == subspace_projection(op, 10, rng=4).value
 
 
 # ----------------------------------------------------------------- exact_trace
@@ -355,13 +354,13 @@ def test_budget_formulas_all_estimators():
     A = rng.standard_normal((40, 40))
     A = A @ A.T
     op = DenseOperator(A)
-    assert hutchinson(op.clone(), 13, rng=0).matvecs_used == 13
-    assert hutch_pp(op.clone(), 13, rng=0).matvecs_used == 12
-    est = na_hutch_pp(op.clone(), 13, rng=0)
+    assert hutchinson(op, 13, rng=0).matvecs_used == 13
+    assert hutch_pp(op, 13, rng=0).matvecs_used == 12
+    est = na_hutch_pp(op, 13, rng=0)
     assert est.matvecs_used == 3 + 6 + 3
-    assert hutch_pp_gauss(op.clone(), 14, rng=0).matvecs_used == 14
-    assert subspace_projection(op.clone(), 15, rng=0).matvecs_used == 14
-    assert exact_trace(op.clone()).matvecs_used == 40
+    assert hutch_pp_gauss(op, 14, rng=0).matvecs_used == 14
+    assert subspace_projection(op, 15, rng=0).matvecs_used == 14
+    assert exact_trace(op).matvecs_used == 40
 
 
 def test_matvecs_used_equals_query_delta():
@@ -381,8 +380,7 @@ def test_gaussian_hutchinson_unbiased_dense():
     tr = np.trace(A)
     op = DenseOperator(A)
     vals = np.array(
-        [hutchinson(op.clone(), 5, "gaussian", rng=_rng(86, t)).value
-         for t in range(10000)]
+        [hutchinson(op, 5, "gaussian", rng=_rng(86, t)).value for t in range(10000)]
     )
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - tr) <= 4.0 * se
@@ -404,7 +402,7 @@ def test_quantile_scaling_in_budget():
     qs = []
     for l in budgets:
         devs = [
-            abs(hutchinson(op.clone(), l, "gaussian", rng=_rng(85, l, t)).value - tr)
+            abs(hutchinson(op, l, "gaussian", rng=_rng(85, l, t)).value - tr)
             for t in range(500)
         ]
         qs.append(np.quantile(devs, 0.9))
@@ -423,9 +421,9 @@ def test_run_estimator_dispatch():
     ]  # trial seeds key on this order
     for name in ESTIMATORS:
         m = 14  # valid for every estimator (2 mod 4, >= minimums)
-        est = run_estimator(op.clone(), name, m, rng=3)
+        est = run_estimator(op, name, m, rng=3)
         assert est.estimator == name
-    est = run_estimator(op.clone(), "subspace_projection", 14, rng=3)
+    est = run_estimator(op, "subspace_projection", 14, rng=3)
     assert est.matvecs_used == 14  # k = 7
     with pytest.raises(ValueError, match="unknown estimator"):
         run_estimator(op, "simple_average", 10)
@@ -441,7 +439,7 @@ def test_run_estimator_dispatch():
             except ValueError:
                 rule_accepts = False
             try:
-                run_estimator(op.clone(), name, m, rng=m)
+                run_estimator(op, name, m, rng=m)
                 runs = True
             except ValueError:
                 runs = False
@@ -506,13 +504,13 @@ def test_gauss_and_projection_estimates_match_their_pinned_bits():
            for c, seed in ((0.5, 11), (2.0, 12))}
     got = {}
     for c, name, m, seed in _PINNED:
-        est = run_estimator(ops[c].clone(), name, m, np.random.default_rng(seed))
+        est = run_estimator(ops[c], name, m, np.random.default_rng(seed))
         got[c, name, m, seed] = (est.value.hex(), est.matvecs_used)
     assert got == _PINNED
     X = np.random.default_rng(13).standard_normal((200, 3))
     low = DenseOperator(X @ X.T)
     got = {}
     for name, m in _PINNED_RANK_3:
-        est = run_estimator(low.clone(), name, m, np.random.default_rng(0))
+        est = run_estimator(low, name, m, np.random.default_rng(0))
         got[name, m] = (est.value.hex(), est.matvecs_used)
     assert got == _PINNED_RANK_3

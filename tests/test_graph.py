@@ -331,6 +331,8 @@ def test_triangle_count_matches_cube_trace():
 def test_estrada_empty_graph_is_node_count():
     g = Graph(node_count=3, edges=())
     assert estrada_index_exact(g) == pytest.approx(3.0, rel=1e-14)
+    with pytest.raises(ValueError, match="no nodes"):
+        estrada_index_exact(Graph(node_count=0, edges=()))
 
 
 def test_estrada_triangle_closed_form():

@@ -105,6 +105,13 @@ def test_matvec_is_the_one_column_matmat_of_every_operator(name):
         assert y.shape == (12,) and y.tobytes() == Y[:, 0].tobytes()  # bitwise
 
 
+def test_dense_and_diagonal_operators_reject_malformed_arrays():
+    with pytest.raises(ValueError, match="square matrix"):
+        DenseOperator(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="1-d diagonal"):
+        DiagonalOperator(np.eye(3))
+
+
 def test_matmat_dimension_mismatch():
     op = DenseOperator(np.eye(4))
     with pytest.raises(ValueError, match="matmat"):
@@ -134,17 +141,6 @@ def test_query_count_thread_safe():
     for t in threads:
         t.join()
     assert op.query_count == 8 * 50
-
-
-def test_clone_shares_data_resets_counter():
-    A = np.diag([1.0, 2.0])
-    op = DenseOperator(A)
-    op.matvec(np.ones(2))
-    dup = op.clone()
-    assert dup.query_count == 0
-    assert dup.matrix is op.matrix
-    np.testing.assert_array_equal(dup.matvec(np.ones(2)), [1.0, 2.0])
-    assert op.query_count == 1 and dup.query_count == 1
 
 
 def test_recording_operator_captures_blocks():

@@ -7,11 +7,13 @@ from pathlib import Path
 import tracekit
 from tracekit.linop import LinearOperator
 
+import oracles
+
 MODULES = ("linop", "estimators", "matfunc", "synth", "graph", "bench")
 
 # What a LinearOperator subclass may define again: everything else of the base
 # (the query path, the counter, the shape) is the one shared implementation.
-_OPERATOR_HOOKS = {"__init__", "_apply_block", "clone"}
+_OPERATOR_HOOKS = {"__init__", "_apply_block"}
 
 
 def test_package_all_is_the_union_of_the_module_lists():
@@ -68,8 +70,9 @@ def _redefined_base_attributes(cls: type) -> set[str]:
 
 
 def test_operators_implement_one_kernel():
-    # Each operator supplies _apply_block (and __init__, clone); matvec,
-    # matmat and the checked, counted query path are the base's alone.
+    # Each operator supplies _apply_block (and __init__); matvec, matmat
+    # and the checked, counted query path are the base's alone.  The test
+    # instrument RecordingOperator follows the same rule.
     class Detour(LinearOperator):
         def _apply_block(self, X):
             return X
@@ -78,9 +81,10 @@ def test_operators_implement_one_kernel():
             return x
 
     assert _redefined_base_attributes(Detour) == {"matvec"}
+    modules = [importlib.import_module(f"tracekit.{name}") for name in MODULES]
     operators = [
         obj
-        for module in (importlib.import_module(f"tracekit.{name}") for name in MODULES)
+        for module in [*modules, oracles]
         for obj in vars(module).values()
         if isinstance(obj, type) and issubclass(obj, LinearOperator)
         and obj.__module__ == module.__name__ and obj is not LinearOperator
@@ -88,6 +92,7 @@ def test_operators_implement_one_kernel():
     assert {cls.__name__ for cls in operators} >= {
         "DenseOperator", "DiagonalOperator", "WrappedOperator",
         "LanczosFunctionOperator", "PowerOperator", "AdjacencyOperator",
+        "RecordingOperator",
     }
     offenders = {
         cls.__qualname__: sorted(names)

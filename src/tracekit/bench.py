@@ -138,6 +138,7 @@ class ExperimentSpec:
     """One benchmark sweep: source x estimators x budgets, `trials` deep.
 
     Budgets, trials and seed must be integers; a float raises TypeError.
+    Estimators must not repeat, and budgets must be strictly ascending.
     """
 
     source: MatrixSource
@@ -158,6 +159,9 @@ class ExperimentSpec:
             )
         if not self.estimators:
             raise ValueError("need at least one estimator")
+        repeated = sorted({e for e in self.estimators if self.estimators.count(e) > 1})
+        if repeated:
+            raise ValueError(f"estimators must not repeat, got {repeated!r} more than once")
         if not self.budgets:
             raise ValueError("need at least one budget")
         if any(b <= a for a, b in zip(self.budgets, self.budgets[1:])):

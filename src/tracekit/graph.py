@@ -49,8 +49,9 @@ class Graph:
 
     ``edges`` is a read-only (E, 2) int64 array holding each edge once, in
     either orientation, with ids in [0, node_count) and no self-loops; a
-    self-loop or an out-of-range id raises here, an edge given twice when the
-    adjacency is built.  ``parse_edge_list`` emits (u, v) with u < v and
+    non-integer id (TypeError, never truncated), a self-loop or an
+    out-of-range id raises here, an edge given twice when the adjacency is
+    built.  ``parse_edge_list`` emits (u, v) with u < v and
     drops self-loops (their count is kept for reporting).
     """
 
@@ -61,7 +62,10 @@ class Graph:
     def __post_init__(self):
         node_count = _size(self.node_count, "node_count", minimum=0)
         object.__setattr__(self, "node_count", node_count)
-        edges = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(self.edges)
+        if edges.size and not np.issubdtype(edges.dtype, np.integer):
+            raise TypeError(f"edge node id must be an integer, got dtype {edges.dtype}")
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and not 0 <= edges.min() <= edges.max() < node_count:
             raise ValueError(f"edge node ids must lie in [0, {node_count})")
         if (edges[:, 0] == edges[:, 1]).any():

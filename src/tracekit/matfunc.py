@@ -1,18 +1,17 @@
 """Matrix functions f(B) as LinearOperators, via the Lanczos method.
 
-Given a symmetric operator B available only through matvecs, approximate
-f(B)x with a j-step Lanczos decomposition: f(B)x ~ ||x|| * V f(T) e_1, where
-T is the j x j tridiagonal and V the orthonormal Krylov basis.  Full
-reorthogonalization keeps the basis usable at the iteration counts the
-trace experiments need.  Wrappers expose exp(B), log(B + lambda*I) and exact
-monomial powers B^q (``PowerOperator``); each wrapper counts its own queries
-(the trace budget), and B counts the raw multiplies against it, which the
-wrapper reports as inner_matvecs.
+Given a symmetric operator B available only through matvecs, the one
+Lanczos routine, ``lanczos_apply``, approximates f(B)x after j steps as
+||x|| * V f(T) e_1, where T is the j x j tridiagonal and V the orthonormal
+Krylov basis.  Full reorthogonalization keeps the basis usable at the
+iteration counts the trace experiments need.  Wrappers expose exp(B),
+log(B + lambda*I) and exact monomial powers B^q (``PowerOperator``); each
+wrapper counts its own queries (the trace budget), and B counts the raw
+multiplies against it, which the wrapper reports as inner_matvecs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,8 +20,6 @@ import scipy.linalg
 from tracekit.linop import LinearOperator, WrappedOperator, _size
 
 __all__ = [
-    "LanczosDecomposition",
-    "lanczos_decompose",
     "lanczos_apply",
     "exp_operator",
     "shifted_log_operator",
@@ -31,41 +28,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LanczosDecomposition:
-    """j-step Lanczos factorization of a symmetric operator.
+def lanczos_apply(
+    op: LinearOperator,
+    f: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    iterations: int,
+) -> np.ndarray:
+    """Approximate f(B) x with at most `iterations` Lanczos steps from x.
 
-    ``alphas`` (length j) is the tridiagonal diagonal, ``betas`` (length
-    j-1) the off-diagonal, ``basis`` the d x j orthonormal Krylov vectors.
+    The caller asserts B = B^T.  Each new Krylov vector is reorthogonalized
+    against the whole basis, twice.  The recurrence stops early when an
+    off-diagonal beta falls below 1e-12 * ||x||: the Krylov space is then
+    exhausted and the result is exact on it.  f maps an array of eigenvalues
+    of the small tridiagonal T to f(eigenvalues), and the result is
+    ||x|| * V f(T) e_1.  Consumes exactly j matvecs on B, j <= iterations.
     """
-
-    alphas: np.ndarray
-    betas: np.ndarray
-    basis: np.ndarray
-    iterations: int
-
-
-def lanczos_decompose(
-    op: LinearOperator, x: np.ndarray, max_iterations: int
-) -> LanczosDecomposition:
-    """Run at most max_iterations Lanczos steps from x (caller asserts B=B^T).
-
-    Fully reorthogonalizes each new vector against the whole basis (twice).
-    Terminates early when an off-diagonal beta falls below
-    1e-12 * ||x||, in which case the Krylov space is exhausted and the
-    truncated decomposition is exact on it.
-    """
-    max_iterations = _size(max_iterations, "max_iterations")
+    iterations = _size(iterations, "iterations")
     x = np.asarray(x, dtype=np.float64)
     norm_x = float(np.linalg.norm(x))
     if norm_x == 0.0:
         raise ValueError("Lanczos starting vector must be nonzero")
     breakdown_tol = 1e-12 * norm_x
 
-    d = op.dim
-    V = np.empty((d, max_iterations))
-    alphas = np.empty(max_iterations)
-    betas = np.empty(max_iterations - 1)
+    V = np.empty((op.dim, iterations))
+    alphas = np.empty(iterations)
+    betas = np.empty(iterations - 1)
     V[:, 0] = x / norm_x
     j = 0
     while True:
@@ -80,36 +67,13 @@ def lanczos_decompose(
         w = w - basis @ (basis.T @ w)
         beta = float(np.linalg.norm(w))
         j += 1
-        if j == max_iterations or beta < breakdown_tol:
+        if j == iterations or beta < breakdown_tol:
             break
         betas[j - 1] = beta
         V[:, j] = w / beta
-    return LanczosDecomposition(
-        alphas=alphas[:j],
-        betas=betas[: j - 1],
-        basis=V[:, :j],
-        iterations=j,
-    )
-
-
-def lanczos_apply(
-    op: LinearOperator,
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    iterations: int,
-) -> np.ndarray:
-    """Approximate f(B) x with an `iterations`-step Lanczos recurrence.
-
-    f maps an array of tridiagonal eigenvalues to f(eigenvalues); it is
-    evaluated after a dense symmetric eigendecomposition of the small T.
-    Consumes exactly j matvecs on B (j <= iterations; early Krylov
-    breakdown truncates and the result is then exact on the subspace).
-    """
-    dec = lanczos_decompose(op, x, iterations)
-    theta, U = scipy.linalg.eigh_tridiagonal(dec.alphas, dec.betas)
+    theta, U = scipy.linalg.eigh_tridiagonal(alphas[:j], betas[: j - 1])
     coeff = U @ (np.asarray(f(theta)) * U[0, :])
-    norm_x = float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
-    return norm_x * (dec.basis @ coeff)
+    return norm_x * (V[:, :j] @ coeff)
 
 
 class LanczosFunctionOperator(WrappedOperator):

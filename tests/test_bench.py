@@ -21,7 +21,7 @@ from tracekit.cli import build_parser, main
 from tracekit.estimators import ESTIMATORS, hutchinson, run_estimator, subspace_projection
 from tracekit.graph import Graph
 from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator, sample_probes
-from tracekit.matfunc import PowerOperator, exp_operator, lanczos_decompose
+from tracekit.matfunc import PowerOperator, exp_operator, lanczos_apply
 from tracekit.synth import (
     SpectrumSpec,
     gaussian_kernel_matrix,
@@ -47,10 +47,18 @@ def _stats(pairs):
 # -------------------------------------------------------------- ExperimentSpec
 
 
-def test_spec_validation():
+def test_spec_validation(tmp_path, capsys):
     src = PowerLawSource(exponent=1.0, dim=50)
     with pytest.raises(ValueError, match="unknown estimator"):
         ExperimentSpec(src, ("hutchinson", "magic"), (8,), 3)
+    with pytest.raises(ValueError, match=r"must not repeat, got \['hutchinson'\]"):
+        ExperimentSpec(src, ("hutchinson", "hutch_pp", "hutchinson"), (8,), 3)
+    out = tmp_path / "x.csv"
+    rc = main(["--source", "power_law", "--estimators", "hutchinson,hutchinson",
+               "--out", str(out)])
+    assert rc == 2
+    assert "'hutchinson'" in capsys.readouterr().err
+    assert not out.exists()
     with pytest.raises(ValueError, match="at least one estimator"):
         ExperimentSpec(src, (), (8,), 3)
     with pytest.raises(ValueError, match="at least one budget"):
@@ -80,13 +88,14 @@ def test_fractional_budgets_and_trials_raise_instead_of_truncating():
         ("m", lambda: hutchinson(op, 2.9)),
         ("q", lambda: PowerOperator(two, 2.9).matvec([1.0])),
         ("iterations", lambda: exp_operator(op, 3.7)),
-        ("max_iterations", lambda: lanczos_decompose(op, np.ones(4), 3.7)),
+        ("iterations", lambda: lanczos_apply(op, np.exp, np.ones(4), 3.7)),
         ("k", lambda: sample_probes(4, 2.5, "rademacher", 0)),
         ("m", lambda: subspace_projection(op, 5.4)),
         ("dim", lambda: SpectrumSpec(5.5, 1.0)),
         ("n", lambda: synthetic_2d_points(3.9)),
         ("dimension", lambda: LinearOperator(4.0)),
         ("node_count", lambda: Graph(node_count=4.5, edges=())),
+        ("edge node id", lambda: Graph(3, [[0, 1.9], [1.2, 2]])),
     ]
     for name, call in cases:
         with pytest.raises(TypeError, match=rf"\b{name} must be an integer"):

@@ -1,4 +1,4 @@
-"""Lanczos matrix-function machinery: decomposition, f(B)x, wrappers."""
+"""Lanczos matrix functions: f(B)x by ``lanczos_apply``, and the wrappers."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from tracekit.matfunc import (
     PowerOperator,
     exp_operator,
     lanczos_apply,
-    lanczos_decompose,
     shifted_log_operator,
 )
 
@@ -31,46 +30,44 @@ def _exact_fx(A, f, x):
     return U @ (f(w) * (U.T @ x))
 
 
-# --------------------------------------------------------------- decomposition
+# --------------------------------------------------------------- lanczos_apply
 
 
-def test_decompose_basis_orthonormal_and_projects():
+def test_apply_exhausts_40_dimensions_in_at_most_40_queries():
+    # With 80 steps allowed, the Krylov space of a 40 x 40 B is exhausted by
+    # step 40; full reorthogonalization is what lets the recurrence see that
+    # and stop, with the result exact on the whole space.
     A = _sym(40, 0, scale=2.0)
     op = DenseOperator(A)
-    rng = np.random.default_rng(1)
-    dec = lanczos_decompose(op, rng.standard_normal(40), 15)
-    V = dec.basis
-    assert V.shape == (40, 15)
-    np.testing.assert_allclose(V.T @ V, np.eye(15), atol=1e-10)
-    T = V.T @ A @ V
-    np.testing.assert_allclose(np.diag(T), dec.alphas, atol=1e-10)
-    np.testing.assert_allclose(np.diag(T, 1), dec.betas, atol=1e-10)
+    x = np.random.default_rng(1).standard_normal(40)
+    y = lanczos_apply(op, np.exp, x, 80)
+    assert op.query_count <= 40
+    ref = _exact_fx(A, np.exp, x)
+    assert np.linalg.norm(y - ref) / np.linalg.norm(ref) < 1e-12
 
 
-def test_decompose_breakdown_on_eigenvector():
+def test_apply_spends_one_query_on_an_eigenvector():
     op = DiagonalOperator([4.0, 1.0, 1.0])
-    dec = lanczos_decompose(op, np.array([1.0, 0.0, 0.0]), 10)
-    assert dec.iterations == 1
-    assert dec.alphas[0] == 4.0
-    assert dec.betas.size == 0
+    y = lanczos_apply(op, np.exp, np.array([1.0, 0.0, 0.0]), 10)
+    assert op.query_count == 1
+    np.testing.assert_allclose(y, [np.exp(4.0), 0.0, 0.0], rtol=1e-15, atol=0.0)
 
 
-def test_decompose_exhausts_small_dimension():
+def test_apply_exhausts_small_dimension():
     op = DiagonalOperator([1.0, 2.0, 3.0])
-    rng = np.random.default_rng(2)
-    dec = lanczos_decompose(op, rng.standard_normal(3), 50)
-    assert dec.iterations <= 3
+    x = np.random.default_rng(2).standard_normal(3)
+    y = lanczos_apply(op, np.exp, x, 50)
+    assert op.query_count <= 3
+    np.testing.assert_allclose(y, np.exp([1.0, 2.0, 3.0]) * x, rtol=1e-12)
 
 
-def test_decompose_argument_errors():
+def test_apply_argument_errors():
     op = DiagonalOperator(np.ones(3))
-    with pytest.raises(ValueError):
-        lanczos_decompose(op, np.zeros(3), 5)
-    with pytest.raises(ValueError):
-        lanczos_decompose(op, np.ones(3), 0)
-
-
-# --------------------------------------------------------------- lanczos_apply
+    with pytest.raises(ValueError, match="nonzero"):
+        lanczos_apply(op, np.exp, np.zeros(3), 5)
+    with pytest.raises(ValueError, match="iterations"):
+        lanczos_apply(op, np.exp, np.ones(3), 0)
+    assert op.query_count == 0
 
 
 def test_apply_exp_of_zero_is_identity():

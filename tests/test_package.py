@@ -1,4 +1,4 @@
-"""The package namespace (each public name declared once) and two lints."""
+"""The package namespace (each public name declared once) and three lints."""
 
 import ast
 import importlib
@@ -56,6 +56,54 @@ def test_no_size_argument_is_truncated_with_int():
         path.name: calls
         for path in sorted(package.glob("*.py"))
         if (calls := _truncating_int_calls(path.read_text()))
+    }
+    assert not offenders, offenders
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Each module-level imported name that the module never reads.
+
+    ``from __future__`` imports and names listed in ``__all__`` are exempt.
+    """
+    tree = ast.parse(source)
+    exported = {
+        node.value
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        for node in ast.walk(stmt.value)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read | exported:
+                    found.append(f"line {stmt.lineno}: {name}")
+    return found
+
+
+def test_no_module_level_import_goes_unused():
+    # A leftover import (say, `dataclass` after the last dataclass goes) fails.
+    assert _unused_imports("import os\n") == ["line 1: os"]
+    assert _unused_imports("from dataclasses import dataclass\n__all__ = ['f']\n")
+    assert _unused_imports("import numpy as np\nnp = 1\n") == ["line 1: np"]
+    assert not _unused_imports("from __future__ import annotations\n")
+    assert not _unused_imports("import scipy.linalg\nscipy.linalg.eigh\n")
+    assert not _unused_imports("from m import f\n__all__ = ['f']\n")
+    assert not _unused_imports("from m import *\n")
+    package = Path(tracekit.__file__).parent
+    offenders = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := _unused_imports(path.read_text()))
     }
     assert not offenders, offenders
 

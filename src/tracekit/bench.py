@@ -28,9 +28,9 @@ from tracekit.graph import (
 from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator, _size
 from tracekit.matfunc import PowerOperator, exp_operator, shifted_log_operator
 from tracekit.synth import (
-    SpectrumSpec,
     gaussian_kernel_matrix,
     load_points,
+    power_law_eigenvalues,
     power_law_matrix,
     synthetic_2d_points,
 )
@@ -60,10 +60,10 @@ class PowerLawSource:
 
     def materialize(self, seed: int) -> tuple[LinearOperator, float]:
         """The source operator and its exact trace."""
-        spec = SpectrumSpec(self.dim, self.exponent)
         if not self.rotate:
-            return DiagonalOperator(spec.eigenvalues), spec.trace
-        A, op = power_law_matrix(spec, _source_rng(seed))
+            lam = power_law_eigenvalues(self.dim, self.exponent)
+            return DiagonalOperator(lam), float(lam.sum())
+        A, op = power_law_matrix(self.dim, self.exponent, _source_rng(seed))
         return op, float(np.trace(A))
 
 

@@ -49,7 +49,6 @@ class TraceEstimate:
 
     value: float
     matvecs_used: int
-    estimator: str
     split: dict[str, int] = field(default_factory=dict)
 
 
@@ -124,7 +123,6 @@ def hutchinson(
     return TraceEstimate(
         value=value,
         matvecs_used=op.query_count - before,
-        estimator="hutchinson",
         split={"probes": m},
     )
 
@@ -143,7 +141,6 @@ def _deflated_estimate(
     sketch_distribution: str,
     n_resid: int,
     rng,
-    estimator: str,
 ) -> TraceEstimate:
     # Shared core of hutch_pp and hutch_pp_gauss: project out the span of
     # A*S exactly, then run Hutchinson with Rademacher probes G on the
@@ -160,7 +157,6 @@ def _deflated_estimate(
     return TraceEstimate(
         value=leading + residual,
         matvecs_used=op.query_count - before,
-        estimator=estimator,
         split={"sketch": n_sketch, "basis": Q.shape[1], "residual": n_resid},
     )
 
@@ -181,7 +177,7 @@ def hutch_pp(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     the true count.
     """
     b = _hutch_pp_split(m)
-    return _deflated_estimate(op, b, "rademacher", b, rng, "hutch_pp")
+    return _deflated_estimate(op, b, "rademacher", b, rng)
 
 
 def hutch_pp_gauss(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
@@ -193,25 +189,22 @@ def hutch_pp_gauss(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     average uses the factor 2/(m-2).
     """
     n_sketch, n_resid = _hutch_pp_gauss_split(m)
-    return _deflated_estimate(op, n_sketch, "gaussian", n_resid, rng, "hutch_pp_gauss")
+    return _deflated_estimate(op, n_sketch, "gaussian", n_resid, rng)
 
 
-def na_hutch_pp_probes(
-    d: int, m: int, rng=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (S, R, G) Rademacher probe blocks na_hutch_pp will use for this seed.
+def na_hutch_pp_probes(d: int, m: int, rng=None) -> np.ndarray:
+    """The d x (n1 + n2 + n3) block [S | R | G] that na_hutch_pp queries.
 
     Exposed so callers (and the non-adaptivity test) can reconstruct every
     query vector from the seed alone, before any operator output exists.
-    Column counts are floor(m/4), floor(m/2) and floor(m/4), each required
-    >= 1; leftover budget is discarded.
+    The Rademacher blocks S, R and G have floor(m/4), floor(m/2) and
+    floor(m/4) columns, each required >= 1, and are drawn from independent
+    streams; leftover budget is discarded.
     """
-    n1, n2, n3 = _na_hutch_pp_split(m)
-    g1, g2, g3 = np.random.default_rng(rng).spawn(3)
-    S = sample_probes(d, n1, "rademacher", g1).entries
-    R = sample_probes(d, n2, "rademacher", g2).entries
-    G = sample_probes(d, n3, "rademacher", g3).entries
-    return S, R, G
+    return np.hstack([
+        sample_probes(d, n, "rademacher", g).entries
+        for n, g in zip(_na_hutch_pp_split(m), np.random.default_rng(rng).spawn(3))
+    ])
 
 
 def na_hutch_pp(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
@@ -231,7 +224,7 @@ def na_hutch_pp(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     """
     n1, n2, n3 = _na_hutch_pp_split(m)
     # The probes exist once: S and G are column views of the queried block.
-    block = np.hstack(na_hutch_pp_probes(op.dim, m, rng))
+    block = na_hutch_pp_probes(op.dim, m, rng)
     S, G = block[:, :n1], block[:, n1 + n2 :]
     before = op.query_count
     Y = op.matmat(block)
@@ -248,7 +241,6 @@ def na_hutch_pp(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     return TraceEstimate(
         value=value,
         matvecs_used=op.query_count - before,
-        estimator="na_hutch_pp",
         split={"sketch": n1, "range": n2, "residual": n3},
     )
 
@@ -268,8 +260,7 @@ def subspace_projection(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     return TraceEstimate(
         value=value,
         matvecs_used=op.query_count - before,
-        estimator="subspace_projection",
-        split={"sketch": k, "projection": Q.shape[1]},
+        split={"sketch": k, "basis": Q.shape[1]},
     )
 
 
@@ -290,7 +281,6 @@ def exact_trace(op: LinearOperator) -> TraceEstimate:
     return TraceEstimate(
         value=total,
         matvecs_used=op.query_count - before,
-        estimator="exact_trace",
         split={"basis_vectors": d},
     )
 

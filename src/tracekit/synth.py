@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,7 @@ from scipy.spatial.distance import cdist
 from tracekit.linop import DenseOperator, _require_finite, _size, orthonormalize
 
 __all__ = [
-    "SpectrumSpec",
+    "power_law_eigenvalues",
     "power_law_matrix",
     "gaussian_kernel_matrix",
     "synthetic_2d_points",
@@ -19,44 +19,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectrumSpec:
-    """Power-law spectrum lambda_i = i^(-exponent), i = 1..dim.
+def power_law_eigenvalues(dim: int, exponent: float) -> np.ndarray:
+    """Power-law spectrum lambda_i = i^(-exponent), i = 1..dim, descending.
 
     exponent 0 is the flat spectrum (identity); larger exponents decay
     faster, which is the regime where low-rank deflation wins.
     """
-
-    dim: int
-    exponent: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "dim", _size(self.dim, "dim"))
-        if not float(self.exponent) >= 0.0:
-            raise ValueError(f"exponent must be >= 0, got {self.exponent}")
-        object.__setattr__(self, "exponent", float(self.exponent))
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in descending order (all positive)."""
-        return np.arange(1, self.dim + 1, dtype=np.float64) ** (-self.exponent)
-
-    @property
-    def trace(self) -> float:
-        return float(self.eigenvalues.sum())
+    dim = _size(dim, "dim")
+    if not float(exponent) >= 0.0:
+        raise ValueError(f"exponent must be >= 0, got {exponent}")
+    return np.arange(1, dim + 1, dtype=np.float64) ** (-float(exponent))
 
 
-def power_law_matrix(spec: SpectrumSpec, rng=None) -> tuple[np.ndarray, DenseOperator]:
-    """Dense symmetric PSD matrix with the requested spectrum, plus its operator.
+def power_law_matrix(
+    dim: int, exponent: float, rng=None
+) -> tuple[np.ndarray, DenseOperator]:
+    """Dense symmetric PSD matrix with a power-law spectrum, plus its operator.
 
-    A = Q^T Lambda Q where Q orthonormalizes a d x d Gaussian draw, then A is
-    symmetrized to kill rounding asymmetry.  Eigenvalues match the requested
-    i^(-c) law to working precision.
+    A = Q^T Lambda Q where Q orthonormalizes a dim x dim Gaussian draw and
+    Lambda = power_law_eigenvalues(dim, exponent), then A is symmetrized to
+    kill rounding asymmetry.  Eigenvalues match the requested i^(-c) law to
+    working precision.
     """
+    lam = power_law_eigenvalues(dim, exponent)
     gen = np.random.default_rng(rng)
-    d = spec.dim
+    d = lam.size
     Q = orthonormalize(gen.standard_normal((d, d)))
-    lam = spec.eigenvalues
     A = (Q.T * lam) @ Q
     A = (A + A.T) / 2.0
     return A, DenseOperator(A)
@@ -98,10 +86,14 @@ def load_points(path) -> np.ndarray:
     axis collapses to 0.
     """
     path = Path(path)
-    try:
-        pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
-    except ValueError:
-        pts = np.loadtxt(path, dtype=np.float64, ndmin=2, delimiter=",")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
+        except ValueError:
+            pts = np.loadtxt(path, dtype=np.float64, ndmin=2, delimiter=",")
+    if pts.size == 0:
+        raise ValueError(f"{path}: no points")
     if pts.shape[1] != 2:
         raise ValueError(
             f"{path}: expected two columns (x y per line), got {pts.shape[1]}"

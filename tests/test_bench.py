@@ -23,9 +23,9 @@ from tracekit.graph import Graph
 from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator, sample_probes
 from tracekit.matfunc import PowerOperator, exp_operator, lanczos_apply
 from tracekit.synth import (
-    SpectrumSpec,
     gaussian_kernel_matrix,
     load_points,
+    power_law_eigenvalues,
     synthetic_2d_points,
 )
 
@@ -91,7 +91,7 @@ def test_fractional_budgets_and_trials_raise_instead_of_truncating():
         ("iterations", lambda: lanczos_apply(op, np.exp, np.ones(4), 3.7)),
         ("k", lambda: sample_probes(4, 2.5, "rademacher", 0)),
         ("m", lambda: subspace_projection(op, 5.4)),
-        ("dim", lambda: SpectrumSpec(5.5, 1.0)),
+        ("dim", lambda: power_law_eigenvalues(5.5, 1.0)),
         ("n", lambda: synthetic_2d_points(3.9)),
         ("dimension", lambda: LinearOperator(4.0)),
         ("node_count", lambda: Graph(node_count=4.5, edges=())),
@@ -111,7 +111,7 @@ def test_fractional_budgets_and_trials_raise_instead_of_truncating():
     assert hutchinson(op, np.int64(3)).matvecs_used == 3
     assert PowerOperator(two, np.int64(3)).matvec([1.0]).tolist() == [8.0]
     assert sample_probes(4, np.int32(2), "rademacher", 0).entries.shape == (4, 2)
-    assert SpectrumSpec(np.int64(5), 1.0).dim == 5
+    assert power_law_eigenvalues(np.int64(5), 1.0).shape == (5,)
     assert synthetic_2d_points(np.int64(3)).shape == (3, 2)
     assert Graph(node_count=np.int64(4), edges=()).node_count == 4
 
@@ -237,7 +237,7 @@ def test_a_rank_deficient_projection_spends_fewer_than_2k(monkeypatch):
 
     def recording(*args):
         result = run_estimator(*args)
-        spent.append((result.matvecs_used, result.split["projection"]))
+        spent.append((result.matvecs_used, result.split["basis"]))
         return result
 
     monkeypatch.setattr(bench, "run_estimator", recording)

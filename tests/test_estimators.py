@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tracekit import estimators
 from tracekit.linop import DenseOperator, DiagonalOperator
 from tracekit.estimators import (
     ESTIMATORS,
@@ -19,7 +20,7 @@ from tracekit.estimators import (
     run_estimator,
     subspace_projection,
 )
-from tracekit.synth import SpectrumSpec, power_law_matrix
+from tracekit.synth import power_law_matrix
 
 from oracles import DenseReference, RecordingOperator
 
@@ -98,7 +99,7 @@ def test_hutch_pp_unbiased_on_identity():
 def test_hutch_pp_beats_hutchinson_fast_decay():
     # c=2 spectrum, d=1000, m=60, 200 trials: median relative errors separate
     # by more than an order of magnitude.
-    A, op = power_law_matrix(SpectrumSpec(1000, 2.0), rng=5)
+    A, op = power_law_matrix(1000, 2.0, rng=5)
     tr = np.trace(A)
     hp = [
         abs(hutch_pp(op, 60, rng=_rng(81, t)).value - tr) / tr
@@ -156,8 +157,7 @@ def test_na_hutch_pp_unbiased():
 
 
 def test_na_hutch_pp_fraction_validation():
-    # The split is floor(c * m) for the fractions (1/4, 1/2, 1/4), floored
-    # with the 1e-9 slack the configurable fraction rule used.
+    # The split is floor(c * m + 1e-9) for the fractions (1/4, 1/2, 1/4).
     for m in range(2001):
         floors = tuple(math.floor(c * m + 1e-9) for c in (0.25, 0.5, 0.25))
         if min(floors) < 1:
@@ -176,9 +176,10 @@ def test_na_hutch_pp_single_batched_query():
     recorder = RecordingOperator(DiagonalOperator(lam))
     est = na_hutch_pp(recorder, 40, rng=12345)
     assert len(recorder.queries) == 1
-    S, R, G = na_hutch_pp_probes(100, 40, rng=12345)
-    assert recorder.queries[0].tobytes() == np.hstack([S, R, G]).tobytes()
-    assert est.matvecs_used == S.shape[1] + R.shape[1] + G.shape[1]
+    block = na_hutch_pp_probes(100, 40, rng=12345)
+    assert block.shape == recorder.queries[0].shape == (100, 10 + 20 + 10)
+    assert recorder.queries[0].tobytes() == block.tobytes()
+    assert est.matvecs_used == block.shape[1]
 
 
 def test_na_hutch_pp_holds_its_probes_once():
@@ -290,7 +291,7 @@ def test_subspace_projection_captures_dominant_eigenvalue():
 def test_subspace_projection_loses_on_slow_decay():
     # c=0.5: the spectrum has no dominant directions, so projection onto
     # k=m/2 of them misses most of the trace while Hutchinson does fine.
-    A, op = power_law_matrix(SpectrumSpec(1000, 0.5), rng=6)
+    A, op = power_law_matrix(1000, 0.5, rng=6)
     tr = np.trace(A)
     sp = [
         abs(subspace_projection(op, 60, rng=_rng(83, t)).value - tr) / tr
@@ -312,10 +313,10 @@ def test_subspace_projection_argument_errors():
 
 def test_subspace_projection_spends_2k_of_floor_m_over_2():
     # m = 11: k = 5 columns, 10 matvecs, the same probes as m = 10.
-    _, op = power_law_matrix(SpectrumSpec(40, 1.0), rng=5)
+    _, op = power_law_matrix(40, 1.0, rng=5)
     est = subspace_projection(op, 11, rng=4)
     assert est.matvecs_used == 10
-    assert est.split == {"sketch": 5, "projection": 5}
+    assert est.split == {"sketch": 5, "basis": 5}
     assert est.value == subspace_projection(op, 10, rng=4).value
 
 
@@ -419,10 +420,16 @@ def test_run_estimator_dispatch():
     assert list(ESTIMATORS) == [
         "hutchinson", "hutch_pp", "na_hutch_pp", "hutch_pp_gauss", "subspace_projection"
     ]  # trial seeds key on this order
+    # run_estimator(name) returns what the estimator of that name returns,
+    # and no two estimators return the same, so the name picks the function.
+    results = {}
     for name in ESTIMATORS:
         m = 14  # valid for every estimator (2 mod 4, >= minimums)
         est = run_estimator(op, name, m, rng=3)
-        assert est.estimator == name
+        direct = getattr(estimators, name)(op, m, rng=3)
+        results[name] = (est.value.hex(), est.matvecs_used, est.split)
+        assert results[name] == (direct.value.hex(), direct.matvecs_used, direct.split), name
+    assert len({repr(r) for r in results.values()}) == len(ESTIMATORS), results
     est = run_estimator(op, "subspace_projection", 14, rng=3)
     assert est.matvecs_used == 14  # k = 7
     with pytest.raises(ValueError, match="unknown estimator"):
@@ -454,7 +461,7 @@ def test_zero_operator_through_every_registry_entry():
         "hutch_pp": (8, {"sketch": 4, "basis": 0, "residual": 4}),
         "na_hutch_pp": (13, {"sketch": 3, "range": 7, "residual": 3}),
         "hutch_pp_gauss": (10, {"sketch": 4, "basis": 0, "residual": 6}),
-        "subspace_projection": (7, {"sketch": 7, "projection": 0}),
+        "subspace_projection": (7, {"sketch": 7, "basis": 0}),
     }
     for name in ESTIMATORS:
         est = run_estimator(DenseOperator(np.zeros((12, 12))), name, 14, rng=0)
@@ -500,7 +507,7 @@ _PINNED_RANK_3 = {
 
 
 def test_gauss_and_projection_estimates_match_their_pinned_bits():
-    ops = {c: power_law_matrix(SpectrumSpec(200, c), rng=seed)[1]
+    ops = {c: power_law_matrix(200, c, rng=seed)[1]
            for c, seed in ((0.5, 11), (2.0, 12))}
     got = {}
     for c, name, m, seed in _PINNED:

@@ -1,4 +1,5 @@
-"""The package namespace (each public name declared once) and three lints."""
+"""The package namespace (each public name declared once), three lints, and
+the package names the benchmark's tracer reads."""
 
 import ast
 import importlib
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import tracekit
 from tracekit.linop import LinearOperator
+from tracekit.matfunc import LanczosFunctionOperator, PowerOperator
 
 import oracles
 
@@ -148,3 +150,73 @@ def test_operators_implement_one_kernel():
         if (names := _redefined_base_attributes(cls))
     }
     assert not offenders, offenders
+
+
+# Names perfbench/tracing.py still lists although the package deleted them.
+# They may be missing, not must: dropping them from the benchmark keeps the
+# test below green.
+_PERFBENCH_STALE = {
+    "linop.DenseOperator._apply_vec",
+    "graph.AdjacencyOperator._apply_vec",
+    "matfunc.lanczos_decompose",
+}
+
+
+def _traceable(dotted: str) -> bool:
+    """Whether perfbench's Tracer wraps ``module.function`` or
+    ``module.Class.method``: a public name defined in its module, and a
+    method the class defines itself."""
+    module, name, *method = dotted.split(".")
+    module = importlib.import_module(f"tracekit.{module}")
+    obj = vars(module).get(name)
+    if name not in module.__all__ or getattr(obj, "__module__", None) != module.__name__:
+        return False
+    return not method or (len(method) == 1 and callable(vars(obj).get(method[0])))
+
+
+def _layer_span_names(tracing) -> set[str]:
+    """The span names ``layer_metrics`` reads by literal: each string passed to
+    ``.get(...)`` or as ``total(...)``'s name, and each dotted string of a
+    tuple it loops over."""
+    source = Path(tracing.__file__).read_text()
+    func = next(
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == "layer_metrics"
+    )
+    literals = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if isinstance(callee, ast.Attribute) and callee.attr == "get":
+                literals.extend(node.args[:1])
+            elif isinstance(callee, ast.Name) and callee.id == "total":
+                literals.extend(node.args[1:2])
+        elif isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.iter, ast.Tuple):
+            literals.extend(node.iter.elts)
+    return {
+        node.value for node in literals
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "." in node.value
+    }
+
+
+def test_every_name_perfbench_reads_resolves():
+    # A renamed or deleted name would silently zero a per-layer metric.
+    tracing = oracles.perfbench_module("tracing")
+    run = oracles.perfbench_module("run")
+    spans = _layer_span_names(tracing)
+    # The extraction finds each kind of read: .get, total, the set-up loop.
+    assert {"matfunc.lanczos_apply", "bench.emit_csv", "synth.power_law_matrix"} <= spans
+    names = {
+        *tracing.CAPTURES,
+        *tracing.QUERY_SPANS,
+        *(f"estimators.{name}" for name in tracing.TRIAL_ESTIMATORS),
+        *spans,
+    }
+    assert not _traceable("matfunc.PowerOperator.inner_matvecs")  # inherited
+    assert not _traceable("estimators._project")  # not public
+    missing = {name for name in names if not _traceable(name)}
+    assert missing <= _PERFBENCH_STALE, sorted(missing - _PERFBENCH_STALE)
+    for method in run.SetupClock.METHODS:
+        assert callable(vars(LinearOperator).get(method)), method
+    for cls in (LanczosFunctionOperator, PowerOperator):
+        assert isinstance(getattr(cls, "inner_matvecs", None), property), cls

@@ -1,12 +1,15 @@
 """Synthetic PSD sources: power-law spectra, Gaussian kernels, point sets."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from tracekit.synth import (
-    SpectrumSpec,
     gaussian_kernel_matrix,
     load_points,
+    power_law_eigenvalues,
     power_law_matrix,
     synthetic_2d_points,
 )
@@ -14,58 +17,60 @@ from tracekit.synth import (
 from oracles import DenseReference
 
 
-# ---------------------------------------------------------------- SpectrumSpec
+# ------------------------------------------------------- power_law_eigenvalues
 
 
-def test_spectrum_spec_eigenvalues_and_trace():
-    spec = SpectrumSpec(4, 1.0)
-    np.testing.assert_allclose(spec.eigenvalues, [1.0, 0.5, 1 / 3, 0.25])
-    assert spec.trace == pytest.approx(1.0 + 0.5 + 1 / 3 + 0.25)
-    flat = SpectrumSpec(7, 0.0)
-    np.testing.assert_array_equal(flat.eigenvalues, np.ones(7))
-    assert flat.trace == 7.0
+def test_power_law_eigenvalues_and_trace():
+    lam = power_law_eigenvalues(4, 1.0)
+    np.testing.assert_allclose(lam, [1.0, 0.5, 1 / 3, 0.25])
+    assert lam.sum() == pytest.approx(1.0 + 0.5 + 1 / 3 + 0.25)
+    flat = power_law_eigenvalues(7, 0.0)
+    np.testing.assert_array_equal(flat, np.ones(7))
+    assert flat.sum() == 7.0
 
 
-def test_spectrum_spec_validation():
+def test_power_law_eigenvalues_validation():
     with pytest.raises(ValueError):
-        SpectrumSpec(0, 1.0)
+        power_law_eigenvalues(0, 1.0)
     with pytest.raises(ValueError):
-        SpectrumSpec(5, -0.5)
+        power_law_eigenvalues(5, -0.5)
     with pytest.raises(ValueError, match="exponent"):
-        SpectrumSpec(4, np.nan)
+        power_law_eigenvalues(4, np.nan)
+    # power_law_matrix validates through it, before drawing anything.
+    with pytest.raises(ValueError, match="exponent"):
+        power_law_matrix(4, -1.0)
 
 
 # ------------------------------------------------------------ power_law_matrix
 
 
 def test_power_law_flat_spectrum_is_identity():
-    A, op = power_law_matrix(SpectrumSpec(50, 0.0), rng=0)
+    A, op = power_law_matrix(50, 0.0, rng=0)
     np.testing.assert_allclose(A, np.eye(50), atol=1e-10)
     assert op.dim == 50
 
 
 def test_power_law_matrix_spectrum_fidelity():
-    spec = SpectrumSpec(300, 1.5)
-    A, _ = power_law_matrix(spec, rng=1)
+    A, _ = power_law_matrix(300, 1.5, rng=1)
     w = np.linalg.eigvalsh(A)[::-1]
-    np.testing.assert_allclose(w, spec.eigenvalues, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(w, power_law_eigenvalues(300, 1.5), rtol=1e-8, atol=1e-12)
 
 
 def test_power_law_matrix_exactly_symmetric():
-    A, _ = power_law_matrix(SpectrumSpec(80, 2.0), rng=2)
+    A, _ = power_law_matrix(80, 2.0, rng=2)
     np.testing.assert_array_equal(A, A.T)
 
 
 def test_power_law_matrix_deterministic_in_seed():
-    A1, _ = power_law_matrix(SpectrumSpec(30, 1.0), rng=7)
-    A2, _ = power_law_matrix(SpectrumSpec(30, 1.0), rng=7)
+    A1, _ = power_law_matrix(30, 1.0, rng=7)
+    A2, _ = power_law_matrix(30, 1.0, rng=7)
     np.testing.assert_array_equal(A1, A2)
-    A3, _ = power_law_matrix(SpectrumSpec(30, 1.0), rng=8)
+    A3, _ = power_law_matrix(30, 1.0, rng=8)
     assert not np.array_equal(A1, A3)
 
 
 def test_power_law_operator_matches_matrix():
-    A, op = power_law_matrix(SpectrumSpec(25, 1.0), rng=3)
+    A, op = power_law_matrix(25, 1.0, rng=3)
     x = np.random.default_rng(4).standard_normal(25)
     np.testing.assert_allclose(op.matvec(x), A @ x, rtol=1e-13)
 
@@ -73,16 +78,14 @@ def test_power_law_operator_matches_matrix():
 def test_power_law_rotation_spreads_diagonal():
     # The point of rotating: diagonal entries are no longer the eigenvalues,
     # so sign probes are not trivially exact.
-    spec = SpectrumSpec(100, 2.0)
-    A, _ = power_law_matrix(spec, rng=5)
-    assert np.abs(np.sort(np.diag(A))[::-1] - spec.eigenvalues).max() > 1e-3
+    A, _ = power_law_matrix(100, 2.0, rng=5)
+    assert np.abs(np.sort(np.diag(A))[::-1] - power_law_eigenvalues(100, 2.0)).max() > 1e-3
 
 
 def test_power_law_tail_matches_reference():
-    spec = SpectrumSpec(120, 1.0)
-    A, _ = power_law_matrix(spec, rng=6)
+    A, _ = power_law_matrix(120, 1.0, rng=6)
     ref = DenseReference(A)
-    lam = spec.eigenvalues
+    lam = power_law_eigenvalues(120, 1.0)
     for k in (0, 5, 40):
         expected = float(np.sqrt((lam[k:] ** 2).sum()))
         assert ref.rank_k_tail_frobenius(k) == pytest.approx(expected, rel=1e-8)
@@ -91,12 +94,11 @@ def test_power_law_tail_matches_reference():
 def test_power_law_large_tail_ratio():
     # d=5000, c=2: the best rank-20 deflation removes almost all of the
     # Frobenius mass, while c=0.5 keeps most of it.
-    spec = SpectrumSpec(5000, 2.0)
-    lam = spec.eigenvalues
+    lam = power_law_eigenvalues(5000, 2.0)
     full = np.sqrt((lam**2).sum())
     tail = np.sqrt((lam[20:] ** 2).sum())
     assert tail / full < 0.01
-    slow = SpectrumSpec(5000, 0.5).eigenvalues
+    slow = power_law_eigenvalues(5000, 0.5)
     assert np.sqrt((slow[20:] ** 2).sum()) / np.sqrt((slow**2).sum()) > 0.7
 
 
@@ -188,6 +190,17 @@ def test_load_points_rejects_bad_files(tmp_path):
     nan.write_text("1.0 nan\n2.0 3.0\n")
     with pytest.raises(ValueError, match="non-finite"):
         load_points(nan)
+    # An empty or comment-only file names the file, and numpy's "input
+    # contained no data" warning does not leak.
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    comments = tmp_path / "comments.txt"
+    comments.write_text("# x y\n\n# nothing yet\n")
+    for path in (empty, comments):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no points$"):
+                load_points(path)
 
 
 def test_loaded_points_feed_kernel(tmp_path):

@@ -48,11 +48,11 @@ class Graph:
     """Simple undirected graph with nodes relabeled to 0..n-1.
 
     ``edges`` is a read-only (E, 2) int64 array holding each edge once, in
-    either orientation, with ids in [0, node_count) and no self-loops; a
-    non-integer id (TypeError, never truncated), a self-loop or an
-    out-of-range id raises here, an edge given twice when the adjacency is
-    built.  ``parse_edge_list`` emits (u, v) with u < v and
-    drops self-loops (their count is kept for reporting).
+    either orientation, with ids in [0, node_count) and no self-loops.  A
+    non-empty array of any other shape, a non-integer id (TypeError, never
+    truncated), a self-loop or an out-of-range id raises here, an edge given
+    twice when the adjacency is built.  ``parse_edge_list`` emits (u, v) with
+    u < v and drops self-loops (their count is kept for reporting).
     """
 
     node_count: int
@@ -65,7 +65,11 @@ class Graph:
         edges = np.asarray(self.edges)
         if edges.size and not np.issubdtype(edges.dtype, np.integer):
             raise TypeError(f"edge node id must be an integer, got dtype {edges.dtype}")
-        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges must be an (E, 2) array, got shape {edges.shape}")
+        edges = np.array(edges, dtype=np.int64)
         if edges.size and not 0 <= edges.min() <= edges.max() < node_count:
             raise ValueError(f"edge node ids must lie in [0, {node_count})")
         if (edges[:, 0] == edges[:, 1]).any():

@@ -53,8 +53,8 @@ class LinearOperator:
     """Square operator accessed through counted matrix-vector products.
 
     Subclasses implement ``_apply_block`` only, the product with a d x k
-    block; ``matvec`` queries it with one column.  The operator is immutable
-    after construction except for its query counter; counter updates are
+    block; ``matvec`` queries it with one column.  A non-finite input or
+    result raises ValueError naming the operator class.  Counter updates are
     lock-protected so concurrent applications never lose increments.
     """
 
@@ -77,10 +77,7 @@ class LinearOperator:
         raise NotImplementedError
 
     def matvec(self, x: ArrayLike) -> NDArray[np.float64]:
-        """Apply the operator to one vector; increments query_count by 1.
-
-        A non-finite result raises ValueError naming the operator class.
-        """
+        """Apply the operator to one vector; increments query_count by 1."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self._dim,):
             raise ValueError(
@@ -89,17 +86,12 @@ class LinearOperator:
         return self._query(x[:, None])[:, 0]
 
     def matmat(self, X: ArrayLike) -> NDArray[np.float64]:
-        """Apply the operator to each column of X; increments query_count by k.
-
-        A non-finite result raises ValueError naming the operator class.
-        """
+        """Apply the operator to each column of X; increments query_count by k."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] != self._dim:
             raise ValueError(
                 f"matmat expects a ({self._dim}, k) block, got shape {X.shape}"
             )
-        if X.shape[1] == 0:
-            return np.zeros((self._dim, 0))
         return self._query(X)
 
     def _query(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -116,7 +108,8 @@ class LinearOperator:
 
 
 class DenseOperator(LinearOperator):
-    """LinearOperator backed by an explicit square dense matrix."""
+    """LinearOperator backed by an explicit square dense matrix; a float64
+    array is kept, not copied, so writing to it changes the operator."""
 
     def __init__(self, matrix: ArrayLike):
         A = np.asarray(matrix, dtype=np.float64)
@@ -131,7 +124,8 @@ class DenseOperator(LinearOperator):
 
 
 class DiagonalOperator(LinearOperator):
-    """LinearOperator for a diagonal matrix, applied in O(d) per query."""
+    """LinearOperator for a diagonal matrix, applied in O(d) per query; a
+    float64 array is kept, not copied, so writing to it changes the operator."""
 
     def __init__(self, diagonal: ArrayLike):
         diag = np.asarray(diagonal, dtype=np.float64)

@@ -28,59 +28,65 @@ __all__ = [
 ]
 
 
+_BREAKDOWN = 1e-12
+
+
 def lanczos_apply(
     op: LinearOperator,
     f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     iterations: int,
 ) -> np.ndarray:
-    """Approximate f(B) x with at most `iterations` Lanczos steps from x.
+    """Approximate f(B) x with at most min(iterations, d) Lanczos steps per column.
 
-    The caller asserts B = B^T.  Each new Krylov vector is reorthogonalized
-    against the whole basis, twice.  The recurrence stops early when an
-    off-diagonal beta falls below 1e-12 * ||x||: the Krylov space is then
-    exhausted and the result is exact on it.  f maps an array of eigenvalues
-    of the small tridiagonal T to f(eigenvalues), and the result is
-    ||x|| * V f(T) e_1.  Consumes exactly j matvecs on B, j <= iterations.
+    x is one vector or a d x k block whose columns share one workspace; a
+    zero column maps to 0 without a query.  The caller asserts B = B^T.
+    Each Krylov vector is reorthogonalized against the whole basis, twice.
+    A column stops early, exact on its exhausted Krylov space, once beta <=
+    _BREAKDOWN * (the largest |alpha| or beta so far), a scale-free test.
+    f maps the eigenvalues of the j x j tridiagonal T to f(eigenvalues), and
+    a column's result is ||x|| * V f(T) e_1, for exactly j matvecs on B.
     """
-    iterations = _size(iterations, "iterations")
+    n = min(_size(iterations, "iterations"), op.dim)
     x = np.asarray(x, dtype=np.float64)
-    norm_x = float(np.linalg.norm(x))
-    if norm_x == 0.0:
-        raise ValueError("Lanczos starting vector must be nonzero")
-    breakdown_tol = 1e-12 * norm_x
-
-    V = np.empty((op.dim, iterations))
-    alphas = np.empty(iterations)
-    betas = np.empty(iterations - 1)
-    V[:, 0] = x / norm_x
-    j = 0
-    while True:
-        w = op.matvec(V[:, j])
-        alphas[j] = float(V[:, j] @ w)
-        w = w - alphas[j] * V[:, j]
-        if j > 0:
-            w = w - betas[j - 1] * V[:, j - 1]
-        # Full reorthogonalization, twice, against everything so far.
-        basis = V[:, : j + 1]
-        w = w - basis @ (basis.T @ w)
-        w = w - basis @ (basis.T @ w)
-        beta = float(np.linalg.norm(w))
-        j += 1
-        if j == iterations or beta < breakdown_tol:
-            break
-        betas[j - 1] = beta
-        V[:, j] = w / beta
-    theta, U = scipy.linalg.eigh_tridiagonal(alphas[:j], betas[: j - 1])
-    coeff = U @ (np.asarray(f(theta)) * U[0, :])
-    return norm_x * (V[:, :j] @ coeff)
+    if x.ndim not in (1, 2) or x.shape[0] != op.dim:
+        raise ValueError(f"expected {op.dim} rows, got shape {x.shape}")
+    X = x.reshape(op.dim, -1)
+    Y = np.zeros(X.shape)
+    V = np.empty((op.dim, n))
+    alphas = np.empty(n)
+    betas = np.empty(n)
+    for c in range(X.shape[1]):
+        norm_x = float(np.linalg.norm(X[:, c]))
+        if norm_x == 0.0:
+            continue
+        V[:, 0] = X[:, c] / norm_x
+        j = scale = 0
+        while True:
+            w = op.matvec(V[:, j])
+            alphas[j] = float(V[:, j] @ w)
+            w = w - alphas[j] * V[:, j]
+            if j > 0:
+                w = w - betas[j - 1] * V[:, j - 1]
+            # Full reorthogonalization, twice, against everything so far.
+            basis = V[:, : j + 1]
+            w = w - basis @ (basis.T @ w)
+            w = w - basis @ (basis.T @ w)
+            beta = float(np.linalg.norm(w))
+            scale = max(scale, abs(alphas[j]), beta)
+            j += 1
+            if j == n or beta <= _BREAKDOWN * scale:
+                break
+            betas[j - 1] = beta
+            V[:, j] = w / beta
+        theta, U = scipy.linalg.eigh_tridiagonal(alphas[:j], betas[: j - 1])
+        coeff = U @ (np.asarray(f(theta)) * U[0, :])
+        Y[:, c] = norm_x * (V[:, :j] @ coeff)
+    return Y.reshape(x.shape)
 
 
 class LanczosFunctionOperator(WrappedOperator):
-    """f(B) as a LinearOperator, each query column one Lanczos solve on B.
-
-    Each wrapper query spends at most `iterations` ``inner_matvecs`` on B.
-    """
+    """f(B) as a LinearOperator: each query block is one ``lanczos_apply`` call."""
 
     def __init__(
         self,
@@ -94,9 +100,7 @@ class LanczosFunctionOperator(WrappedOperator):
         self._iterations = iterations
 
     def _apply_block(self, X):
-        return np.column_stack(
-            [lanczos_apply(self._inner, self._f, x, self._iterations) for x in X.T]
-        )
+        return lanczos_apply(self._inner, self._f, X, self._iterations)
 
 
 def exp_operator(B: LinearOperator, iterations: int) -> LanczosFunctionOperator:

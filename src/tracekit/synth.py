@@ -83,15 +83,19 @@ def load_points(path) -> np.ndarray:
 
     Coordinates are min-max normalized per axis to [0,1]^2 on ingestion (the
     kernel width convention assumes unit-square coordinates).  A constant
-    axis collapses to 0.
+    axis collapses to 0.  A file that parses in neither layout raises
+    ValueError naming it, with the whitespace parse's message.
     """
     path = Path(path)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
-        except ValueError:
-            pts = np.loadtxt(path, dtype=np.float64, ndmin=2, delimiter=",")
+        except ValueError as whitespace:
+            try:
+                pts = np.loadtxt(path, dtype=np.float64, ndmin=2, delimiter=",")
+            except ValueError:
+                raise ValueError(f"{path}: {whitespace}") from None
     if pts.size == 0:
         raise ValueError(f"{path}: no points")
     if pts.shape[1] != 2:

@@ -20,6 +20,7 @@ from tracekit.estimators import (
     run_estimator,
     subspace_projection,
 )
+from tracekit.matfunc import exp_operator, shifted_log_operator
 from tracekit.synth import power_law_matrix
 
 from oracles import DenseReference, RecordingOperator
@@ -467,6 +468,18 @@ def test_zero_operator_through_every_registry_entry():
         est = run_estimator(DenseOperator(np.zeros((12, 12))), name, 14, rng=0)
         assert est.value == 0.0
         assert (est.matvecs_used, est.split) == expected[name], name
+
+
+def test_scalar_matrix_functions_through_every_registry_entry():
+    # At d = 1 the sketch captures everything, so the deflated residual
+    # probes are exactly 0 and f(B) 0 = 0 must cost no Lanczos solve.
+    for make, exact in (
+        (lambda: exp_operator(DenseOperator([[0.5]]), 10), math.exp(0.5)),
+        (lambda: shifted_log_operator(DenseOperator([[3.0]]), 2.0, 10), math.log(5.0)),
+    ):
+        for name in ESTIMATORS:
+            est = run_estimator(make(), name, 14, rng=0)
+            assert est.value == pytest.approx(exact, rel=1e-14), name
 
 
 # float.hex of run_estimator(op, name, m, np.random.default_rng(seed)).value

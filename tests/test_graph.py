@@ -300,6 +300,14 @@ def test_graph_rejects_edges_its_adjacency_cannot_hold():
         g.adjacency
     # Either orientation is accepted once.
     assert triangle_count_exact(Graph(node_count=3, edges=[(0, 1), (2, 1), (2, 0)])) == 1
+    # Edges are (E, 2) pairs; no other shape is regrouped into pairs.
+    for edges in ([[0, 1, 2, 3]], [0, 1, 1, 2], np.zeros((2, 1, 2), dtype=np.int64),
+                  [[0], [1]], [[0, 1, 2]]):
+        with pytest.raises(ValueError, match=r"\(E, 2\) array"):
+            Graph(node_count=4, edges=edges)
+    for empty in ((), [], np.empty((0, 2), dtype=np.int64)):
+        g = Graph(node_count=0, edges=empty)
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
 
 
 # ------------------------------------------------------------------- triangles

@@ -103,6 +103,15 @@ def test_matvec_is_the_one_column_matmat_of_every_operator(name):
         Y = op.matmat(x[:, None])
         assert op.query_count == before + 2
         assert y.shape == (12,) and y.tobytes() == Y[:, 0].tobytes()  # bitwise
+    # A zero-width block takes the same query path and spends nothing; a zero
+    # column maps to zero.
+    before = op.query_count
+    assert op.matmat(np.empty((12, 0))).shape == (12, 0)
+    assert op.query_count == before
+    X[:, 1] = 0.0
+    Y = op.matmat(X)
+    assert op.query_count == before + 3
+    assert Y.shape == (12, 3) and not Y[:, 1].any()
 
 
 def test_dense_and_diagonal_operators_reject_malformed_arrays():

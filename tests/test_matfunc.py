@@ -6,6 +6,7 @@ import scipy.linalg
 
 from tracekit import linop
 from tracekit.estimators import exact_trace, hutchinson
+from tracekit.graph import AdjacencyOperator, Graph
 from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator
 from tracekit.matfunc import (
     LanczosFunctionOperator,
@@ -59,15 +60,69 @@ def test_apply_exhausts_small_dimension():
     y = lanczos_apply(op, np.exp, x, 50)
     assert op.query_count <= 3
     np.testing.assert_allclose(y, np.exp([1.0, 2.0, 3.0]) * x, rtol=1e-12)
+    # The workspace is sized by min(iterations, d), so a huge step cap
+    # allocates no more than d Krylov vectors.
+    op = DenseOperator(np.diag([1.0, 2.0, 3.0]))
+    y = lanczos_apply(op, np.exp, np.ones(3), 10**9)
+    assert op.query_count <= 3
+    np.testing.assert_allclose(y, np.exp([1.0, 2.0, 3.0]), rtol=1e-14)
 
 
 def test_apply_argument_errors():
     op = DiagonalOperator(np.ones(3))
-    with pytest.raises(ValueError, match="nonzero"):
-        lanczos_apply(op, np.exp, np.zeros(3), 5)
+    # A zero vector maps to zero with no query: f(B) 0 = 0.
+    y = lanczos_apply(op, np.exp, np.zeros(3), 5)
+    assert y.shape == (3,) and not y.any()
     with pytest.raises(ValueError, match="iterations"):
         lanczos_apply(op, np.exp, np.ones(3), 0)
+    for bad in (np.ones(6), np.ones((2, 3)), np.ones((3, 1, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="expected 3 rows"):
+            lanczos_apply(op, np.exp, bad, 5)
     assert op.query_count == 0
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_apply_block_equals_its_columns_bitwise(kind):
+    # One call on a block runs each column's recurrence in a shared
+    # workspace; each column is byte-identical to its own call, a zero
+    # column included, with iterations both below and above d.
+    d = 30
+    if kind == "dense":
+        B = DenseOperator(_sym(d, 19))
+    else:  # a ring with chords, as a sparse adjacency
+        edges = [(i, (i + 1) % d) for i in range(d)]
+        edges += [(i, (i + 7) % d) for i in range(0, d, 3)]
+        B = AdjacencyOperator(Graph(node_count=d, edges=edges))
+    X = np.random.default_rng(20).standard_normal((d, 5))
+    X[:, 2] = 0.0
+    for iterations in (12, 45):
+        before = B.query_count
+        Y = lanczos_apply(B, np.exp, X, iterations)
+        block_queries = B.query_count - before
+        assert Y.shape == X.shape and not Y[:, 2].any()
+        for c in range(X.shape[1]):
+            y = lanczos_apply(B, np.exp, X[:, c], iterations)
+            assert y.tobytes() == Y[:, c].tobytes(), (iterations, c)
+        assert B.query_count - before == 2 * block_queries
+        assert block_queries <= 4 * min(iterations, d)
+
+
+def test_apply_stopping_test_is_scale_free():
+    # f(B)(s x) = s f(B) x: the breakdown test compares beta with the
+    # recurrence's own scale, not with ||x||, so no s stops a column early.
+    A = _sym(50, 21)
+    x = np.random.default_rng(22).standard_normal(50)
+    ref = _exact_fx(A, np.exp, x)
+    for s in 10.0 ** np.arange(-20, 21, 4):
+        op = DenseOperator(A)
+        y = lanczos_apply(op, np.exp, s * x, 40)
+        assert op.query_count == 40, s
+        assert np.linalg.norm(y / s - ref) / np.linalg.norm(ref) < 1e-14, s
+    # An exact zero beta still stops: B = 0 spends one query per column.
+    op = DenseOperator(np.zeros((4, 4)))
+    y = lanczos_apply(op, np.exp, np.full(4, 1e-30), 10)
+    assert op.query_count == 1
+    np.testing.assert_array_equal(y, np.full(4, 1e-30))
 
 
 def test_apply_exp_of_zero_is_identity():

@@ -1,4 +1,4 @@
-"""The package namespace (each public name declared once), three lints, and
+"""The package namespace (each public name declared once), four lints, and
 the package names the benchmark's tracer reads."""
 
 import ast
@@ -6,6 +6,7 @@ import importlib
 from pathlib import Path
 
 import tracekit
+from tracekit import linop
 from tracekit.linop import LinearOperator
 from tracekit.matfunc import LanczosFunctionOperator, PowerOperator
 
@@ -150,6 +151,47 @@ def test_operators_implement_one_kernel():
         if (names := _redefined_base_attributes(cls))
     }
     assert not offenders, offenders
+
+
+def _bypassing_returns(source: str) -> list[str]:
+    """Each ``return`` in ``LinearOperator.matvec`` or ``.matmat`` whose value
+    is not a ``self._query(...)`` result (or a subscript of one)."""
+    cls = next(
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name == "LinearOperator"
+    )
+    methods = [
+        node for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("matvec", "matmat")
+    ]
+    assert sorted(m.name for m in methods) == ["matmat", "matvec"]
+    found = []
+    for method in methods:
+        for node in ast.walk(method):
+            if not isinstance(node, ast.Return):
+                continue
+            value = node.value
+            while isinstance(value, ast.Subscript):
+                value = value.value
+            if not (isinstance(value, ast.Call) and ast.unparse(value.func) == "self._query"):
+                found.append(f"{method.name} line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_matvec_and_matmat_return_only_query_results():
+    # Every public query goes through the checked, counted query path; no
+    # special case (a zero-width block, say) returns around it.
+    detour = (
+        "class LinearOperator:\n"
+        "    def matvec(self, x):\n"
+        "        return self._query(x[:, None])[:, 0]\n"
+        "    def matmat(self, X):\n"
+        "        if X.shape[1] == 0:\n"
+        "            return np.zeros((self._dim, 0))\n"
+        "        return self._query(X)\n"
+    )
+    assert _bypassing_returns(detour) == ["matmat line 6: return np.zeros((self._dim, 0))"]
+    assert _bypassing_returns(Path(linop.__file__).read_text()) == []
 
 
 # Names perfbench/tracing.py still lists although the package deleted them.

@@ -190,6 +190,14 @@ def test_load_points_rejects_bad_files(tmp_path):
     nan.write_text("1.0 nan\n2.0 3.0\n")
     with pytest.raises(ValueError, match="non-finite"):
         load_points(nan)
+    # A file that neither layout parses is named, with the whitespace parse's
+    # message, not the comma attempt's.
+    short = tmp_path / "short.txt"
+    short.write_text("0.1 0.2\n0.3\n")
+    with pytest.raises(
+        ValueError, match=rf"^{re.escape(str(short))}: the number of columns changed"
+    ):
+        load_points(short)
     # An empty or comment-only file names the file, and numpy's "input
     # contained no data" warning does not leak.
     empty = tmp_path / "empty.txt"

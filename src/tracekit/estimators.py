@@ -12,7 +12,7 @@ standard basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class TraceEstimate:
 
     value: float
     matvecs_used: int
-    split: dict[str, int] = field(default_factory=dict)
+    split: dict[str, int]
 
 
 # Budget rules: each maps a budget m to the column counts its estimator

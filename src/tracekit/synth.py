@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,23 +80,21 @@ def synthetic_2d_points(n: int, rng=None) -> np.ndarray:
 def load_points(path) -> np.ndarray:
     """Read 2-d coordinates from a two-column whitespace or CSV file.
 
-    Coordinates are min-max normalized per axis to [0,1]^2 on ingestion (the
-    kernel width convention assumes unit-square coordinates).  A constant
-    axis collapses to 0.  A file that parses in neither layout raises
-    ValueError naming it, with the whitespace parse's message.
+    The first data line (less its '#' comment and blanks) sets the layout:
+    CSV if it holds a comma, whitespace otherwise.  One parse; a fault names
+    the file and the row where it stopped.  Axes are min-max normalized to
+    [0,1]^2, the kernel width's convention; a constant axis collapses to 0.
     """
     path = Path(path)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            pts = np.loadtxt(path, dtype=np.float64, ndmin=2)
-        except ValueError as whitespace:
-            try:
-                pts = np.loadtxt(path, dtype=np.float64, ndmin=2, delimiter=",")
-            except ValueError:
-                raise ValueError(f"{path}: {whitespace}") from None
-    if pts.size == 0:
-        raise ValueError(f"{path}: no points")
+    try:
+        lines = path.read_text().split("\n")
+        data = (line.partition("#")[0].strip() for line in lines)
+        first = next(d for d in data if d)
+        pts = np.loadtxt(lines, ndmin=2, delimiter="," if "," in first else None)
+    except StopIteration:
+        raise ValueError(f"{path}: no points") from None
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     if pts.shape[1] != 2:
         raise ValueError(
             f"{path}: expected two columns (x y per line), got {pts.shape[1]}"

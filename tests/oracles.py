@@ -39,13 +39,12 @@ class RecordingOperator(WrappedOperator):
 
 
 class DenseReference:
-    """Exact spectral quantities of an explicit square matrix.
+    """Exact quantities of an explicit square matrix.
 
     Serves as the test oracle for the randomized estimators: trace by
     diagonal sum, Frobenius norm entrywise, and (lazily, on first access)
-    the full spectrum, nuclear norm, and best rank-k approximation tails.
-    Symmetric input uses its eigendecomposition; general input falls back to
-    singular values.
+    best rank-k approximation tails from the eigenvalues.  The spectral
+    query needs symmetric input and raises ValueError otherwise.
     """
 
     def __init__(self, matrix: ArrayLike):
@@ -66,34 +65,15 @@ class DenseReference:
         return float(np.linalg.norm(self.matrix))
 
     @cached_property
-    def _magnitudes(self) -> NDArray[np.float64]:
-        # Magnitudes of the spectrum, descending: |eigenvalues| for symmetric
-        # input (the best rank-k approximation keeps the largest magnitudes),
-        # singular values otherwise.
+    def _tail_sq(self) -> NDArray[np.float64]:
+        # _tail_sq[k] = sum of squared eigenvalues strictly past rank k, by
+        # descending magnitude (the best rank-k approximation keeps the
+        # largest magnitudes).
         A = self.matrix
         atol = 1e-12 * max(1.0, float(np.abs(A).max()))
-        if np.allclose(A, A.T, rtol=0.0, atol=atol):
-            w = np.linalg.eigvalsh(A)
-            self._eigs_desc = w[::-1].copy()
-            return np.sort(np.abs(w))[::-1]
-        s = np.linalg.svd(A, compute_uv=False)
-        self._eigs_desc = s.copy()
-        return s
-
-    @cached_property
-    def eigenvalues_descending(self) -> NDArray[np.float64]:
-        """Eigenvalues (symmetric input) or singular values, descending."""
-        _ = self._magnitudes
-        return self._eigs_desc
-
-    @cached_property
-    def nuclear_norm(self) -> float:
-        return float(self._magnitudes.sum())
-
-    @cached_property
-    def _tail_sq(self) -> NDArray[np.float64]:
-        # _tail_sq[k] = sum of squared magnitudes strictly past rank k.
-        sq = self._magnitudes**2
+        if not np.allclose(A, A.T, rtol=0.0, atol=atol):
+            raise ValueError("spectral queries need a symmetric matrix")
+        sq = np.sort(np.abs(np.linalg.eigvalsh(A)))[::-1] ** 2
         suffix = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
         return np.maximum(suffix, 0.0)
 

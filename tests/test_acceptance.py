@@ -1,7 +1,10 @@
 """End-to-end acceptance checks for the trace-estimation toolkit.
 
-Each test prints one `[criterion N] name: PASS/FAIL (elapsed)` line and then
-asserts both the substantive checks and the runtime budget.  Run with
+Each test prints one `[criterion N] name: PASS/FAIL (elapsed s cpu)` line and
+then asserts both the substantive checks and the runtime budget.  The budget
+is the process's own CPU time, so a loaded host does not fail a check whose
+computation passes; with BLAS pinned to one thread (conftest.py) it matches
+the wall time on an idle host.  Run with
 `pytest tests/test_acceptance.py -v -s` to see every line; criterion 7 is
 opt-in via `-m slow` because it works at dimension 5000, and criterion 12
 because its 200-trial sweep adds about a minute to the suite.
@@ -36,9 +39,9 @@ from oracles import DenseReference, RecordingOperator
 
 
 def _report(number: int, name: str, ok: bool, t0: float) -> float:
-    elapsed = time.time() - t0
+    elapsed = time.process_time() - t0
     verdict = "PASS" if ok else "FAIL"
-    print(f"[criterion {number}] {name}: {verdict} ({elapsed:.1f} s)")
+    print(f"[criterion {number}] {name}: {verdict} ({elapsed:.1f} s cpu)")
     return elapsed
 
 
@@ -49,7 +52,7 @@ def _er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
 
 
 def test_criterion_01_sign_probe_diagonal_exactness():
-    t0 = time.time()
+    t0 = time.process_time()
     op = DiagonalOperator(np.arange(1.0, 101.0))
     worst = 0.0
     for s in range(1000):
@@ -64,7 +67,7 @@ def test_criterion_01_sign_probe_diagonal_exactness():
 
 
 def test_criterion_02_gaussian_probe_variance():
-    t0 = time.time()
+    t0 = time.process_time()
     rng = np.random.default_rng(2024)
     X = rng.standard_normal((50, 50))
     A = X @ X.T
@@ -85,7 +88,7 @@ def test_criterion_02_gaussian_probe_variance():
 
 
 def test_criterion_03_deflated_gaussian_variance_bounds():
-    t0 = time.time()
+    t0 = time.process_time()
     A, op = power_law_matrix(500, 1.5, rng=77)
     tr = float(np.trace(A))
     ref = DenseReference(A)
@@ -112,7 +115,7 @@ def test_criterion_03_deflated_gaussian_variance_bounds():
 
 
 def test_criterion_04_tail_mass_bound():
-    t0 = time.time()
+    t0 = time.process_time()
     worst = 0.0
     for c in (0.5, 1.0, 1.5, 2.0):
         lam = power_law_eigenvalues(1000, c)
@@ -163,7 +166,7 @@ def test_criterion_05_convergence_rate_separation():
     # exceeded hutchinson's at m=60 on 16/16 seeds (ratio 1.07-1.34); the
     # median ratio over seeds crosses 1 between m=120 (1.05) and m=240
     # (0.91).  The checks are kept as stated rather than tuned to pass.
-    t0 = time.time()
+    t0 = time.process_time()
     checks = _rate_separation_checks(exponent=0.5)
     ok = all(checks.values())
     elapsed = _report(5, "convergence-rate separation", ok, t0)
@@ -172,7 +175,7 @@ def test_criterion_05_convergence_rate_separation():
 
 
 def test_criterion_06_fast_decay_ordering():
-    t0 = time.time()
+    t0 = time.process_time()
     spec = ExperimentSpec(
         PowerLawSource(exponent=2.0, dim=1000),
         ("hutchinson", "hutch_pp", "subspace_projection"),
@@ -194,7 +197,7 @@ def test_criterion_06_fast_decay_ordering():
 
 @pytest.mark.slow
 def test_criterion_07_frobenius_trace_ratios():
-    t0 = time.time()
+    t0 = time.process_time()
     results = {}
     for c in (2.0, 0.5):
         ref = DenseReference(np.diag(power_law_eigenvalues(5000, c)))
@@ -206,7 +209,7 @@ def test_criterion_07_frobenius_trace_ratios():
 
 
 def test_criterion_08_matrix_exponential_fidelity():
-    t0 = time.time()
+    t0 = time.process_time()
     rng = np.random.default_rng(42)
     A = rng.standard_normal((100, 100))
     A = (A + A.T) / 2
@@ -226,7 +229,7 @@ def test_criterion_08_matrix_exponential_fidelity():
 
 
 def test_criterion_09_graph_oracle_equivalence():
-    t0 = time.time()
+    t0 = time.process_time()
     rng = np.random.default_rng(123)
     tri_mismatches = 0
     worst_rel = 0.0
@@ -248,7 +251,7 @@ def test_criterion_09_graph_oracle_equivalence():
 
 
 def test_criterion_10_indefinite_cubed_adjacency():
-    t0 = time.time()
+    t0 = time.process_time()
     g = _er_graph(300, 0.05, np.random.default_rng(0))
     op = PowerOperator(AdjacencyOperator(g), 3)
     truth = 6.0 * triangle_count_exact(g)
@@ -267,7 +270,7 @@ def test_criterion_10_indefinite_cubed_adjacency():
 
 
 def test_criterion_11_budget_and_non_adaptivity():
-    t0 = time.time()
+    t0 = time.process_time()
     rng = np.random.default_rng(7)
     Y = rng.standard_normal((40, 40))
     A = Y @ Y.T
@@ -314,7 +317,7 @@ def test_criterion_12_convergence_rate_separation_at_c_1():
     # 0-7 gave hutchinson slopes -0.42..-0.55, hutch_pp -1.07..-1.15 and
     # na_hutch_pp -1.00..-1.12, and hutch_pp beat hutchinson at every
     # m >= 60 (median error ratio 0.31-0.39 at m=60) for all eight.
-    t0 = time.time()
+    t0 = time.process_time()
     checks = _rate_separation_checks(exponent=1.0)
     ok = all(checks.values())
     elapsed = _report(12, "convergence-rate separation at c = 1", ok, t0)

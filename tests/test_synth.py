@@ -164,6 +164,9 @@ def test_load_points_whitespace(tmp_path):
     p.write_text("0.0 0.0\n2.0 4.0\n1.0 2.0\n")
     pts = load_points(p)
     np.testing.assert_allclose(pts, [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
+    # Commas inside comments do not make a whitespace file CSV.
+    p.write_text("# x, y\n0.0 0.0\n2.0 4.0 # a,b\n")
+    np.testing.assert_allclose(load_points(p), [[0.0, 0.0], [1.0, 1.0]])
 
 
 def test_load_points_csv(tmp_path):
@@ -171,6 +174,8 @@ def test_load_points_csv(tmp_path):
     p.write_text("0.0,1.0\n4.0,3.0\n")
     pts = load_points(p)
     np.testing.assert_allclose(pts, [[0.0, 0.0], [1.0, 1.0]])
+    p.write_bytes(b"0.0, 1.0\r\n4.0,3.0\r\n")
+    np.testing.assert_allclose(load_points(p), [[0.0, 0.0], [1.0, 1.0]])
 
 
 def test_load_points_constant_axis_collapses(tmp_path):
@@ -190,16 +195,27 @@ def test_load_points_rejects_bad_files(tmp_path):
     nan.write_text("1.0 nan\n2.0 3.0\n")
     with pytest.raises(ValueError, match="non-finite"):
         load_points(nan)
-    # A file that neither layout parses is named, with the whitespace parse's
-    # message, not the comma attempt's.
-    short = tmp_path / "short.txt"
-    short.write_text("0.1 0.2\n0.3\n")
-    with pytest.raises(
-        ValueError, match=rf"^{re.escape(str(short))}: the number of columns changed"
-    ):
-        load_points(short)
-    # An empty or comment-only file names the file, and numpy's "input
-    # contained no data" warning does not leak.
+    # The first data line sets the layout, and the one parse's message names
+    # the file and the row where that parse stopped.
+    for name, text, where in [
+        ("short.txt", "0.1 0.2\n0.3\n", "at row 2"),
+        ("short.csv", "0.1,0.2\n0.3\n", "at row 2"),
+        ("mixed.csv", "0.1,0.2\n0.3 0.4\n", "at row 2"),
+        ("empty_field.csv", "0.1,,0.2\n", "string '' to float64 at row 0, column 2"),
+    ]:
+        bad = tmp_path / name
+        bad.write_text(text)
+        with pytest.raises(
+            ValueError, match=rf"^{re.escape(str(bad))}: .*{re.escape(where)}"
+        ):
+            load_points(bad)
+    # Text that does not decode is a fault of the file, and names it.
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"# caf\xe9\n0 0\n2 4\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(latin))}: .*decode"):
+        load_points(latin)
+    # An empty or comment-only file is refused before any parse, so numpy's
+    # "input contained no data" warning never fires.
     empty = tmp_path / "empty.txt"
     empty.write_text("")
     comments = tmp_path / "comments.txt"
@@ -209,6 +225,31 @@ def test_load_points_rejects_bad_files(tmp_path):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: no points$"):
                 load_points(path)
+
+
+def test_load_points_parses_once(tmp_path, monkeypatch):
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    for name, text, ok in [
+        ("pts.txt", "0.0 0.0\n2.0 4.0\n", True),
+        ("pts.csv", "0.0,1.0\n4.0,3.0\n", True),
+        ("bad.csv", "0.1,0.2\n0.3\n", False),
+    ]:
+        p = tmp_path / name
+        p.write_text(text)
+        calls.clear()
+        if ok:
+            load_points(p)
+        else:
+            with pytest.raises(ValueError):
+                load_points(p)
+        assert len(calls) == 1, name
 
 
 def test_loaded_points_feed_kernel(tmp_path):

@@ -117,8 +117,8 @@ def shifted_log_operator(
     below -lambda*(1 - 1e-9) are clamped to -lambda + 1e-12 before the log.
     """
     lam = float(lam)
-    if not lam > 0.0:
-        raise ValueError(f"shift lambda must be > 0, got {lam}")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"shift lambda must be finite and > 0, got {lam}")
 
     floor = -lam * (1.0 - 1e-9)
 

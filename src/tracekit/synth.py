@@ -52,15 +52,15 @@ def power_law_matrix(
 def gaussian_kernel_matrix(points, gamma: float) -> np.ndarray:
     """Gaussian kernel B_ij = exp(-gamma * ||p_i - p_j||^2), unit diagonal.
 
-    PSD for any point set and gamma > 0.
+    PSD for any point set and finite gamma > 0.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] < 1:
         raise ValueError("need at least one point")
     _require_finite(pts, "points")
     gamma = float(gamma)
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     # Exactly symmetric: (a-b)^2 == (b-a)^2 in IEEE arithmetic, summed in
     # the same coordinate order for both pairs.  One n x n buffer, scaled
     # and exponentiated in place.

@@ -29,6 +29,8 @@ from tracekit.synth import (
     synthetic_2d_points,
 )
 
+from oracles import peak_rss_growth
+
 
 def _stats(pairs):
     return [
@@ -326,8 +328,9 @@ def test_sweep_kernel_logdet_source():
 
 def test_kernel_logdet_source_rejects_a_nan_shift():
     # Raised before any ground truth is computed, not at the first query.
-    with pytest.raises(ValueError, match="shift lambda"):
-        KernelLogDetSource(n_points=5, shift=np.nan).materialize(seed=0)
+    for shift in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="shift lambda"):
+            KernelLogDetSource(n_points=5, shift=shift).materialize(seed=0)
 
 
 def test_kernel_logdet_source_reads_its_points_file(tmp_path):
@@ -338,11 +341,29 @@ def test_kernel_logdet_source_reads_its_points_file(tmp_path):
     assert op.dim == 3  # the file overrides n_points
     B = gaussian_kernel_matrix(load_points(p), source.gamma)
     assert truth == np.linalg.slogdet(B + source.shift * np.eye(3))[1]
+    # The truth shifts the kernel's own diagonal and must set it back.
+    assert np.array_equal(op._inner.matrix, B)
+    assert np.all(np.diag(op._inner.matrix) == 1.0)
+    drawn = KernelLogDetSource(n_points=50)
+    op, truth = drawn.materialize(seed=3)
+    B = gaussian_kernel_matrix(synthetic_2d_points(50, bench._source_rng(3)), drawn.gamma)
+    assert truth == np.linalg.slogdet(B + drawn.shift * np.eye(50))[1]
+    assert np.array_equal(op._inner.matrix, B)
     # Two identical points make the kernel singular; 1e-300 does not lift it.
     p.write_text("0.5 0.5\n0.5 0.5\n")
     singular = KernelLogDetSource(n_points=2, shift=1e-300, points_path=str(p))
     with pytest.raises(ValueError, match="not positive definite"):
         singular.materialize(seed=0)
+
+
+def test_kernel_logdet_truth_holds_one_dense_copy():
+    # One n x n float64 array is 32 MB at 2,000 points.  The kernel is one;
+    # slogdet's LAPACK copy is the other.  Forming B + shift * I beside the
+    # kernel held a third, and grew the peak by about 3.2 n^2 doubles.
+    n = 2000
+    setup = "from tracekit.bench import KernelLogDetSource\n"
+    growth = peak_rss_growth(setup, f"KernelLogDetSource(n_points={n}).materialize(0)")
+    assert growth <= 2.6 * n * n * 8, f"peak grew by {growth / 1e6:.1f} MB"
 
 
 def test_sweep_graph_estrada_source(tmp_path):

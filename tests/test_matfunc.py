@@ -246,7 +246,7 @@ def test_shifted_log_scalar():
 
 def test_shifted_log_requires_positive_shift():
     op = DiagonalOperator(np.ones(3))
-    for lam in (0.0, -1.0, np.nan):
+    for lam in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="shift lambda"):
             shifted_log_operator(op, lam, 5)
 

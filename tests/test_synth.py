@@ -134,8 +134,9 @@ def test_kernel_is_psd():
 def test_kernel_validation():
     with pytest.raises(ValueError):
         gaussian_kernel_matrix([[0.0, 0.0]], gamma=0.0)
-    with pytest.raises(ValueError, match="gamma"):
-        gaussian_kernel_matrix([[0.0, 0.0], [0.5, 0.5]], gamma=np.nan)
+    for gamma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            gaussian_kernel_matrix([[0.0, 0.0], [0.5, 0.5]], gamma=gamma)
     with pytest.raises(ValueError):
         gaussian_kernel_matrix([[np.nan, 0.0]], gamma=1.0)
     with pytest.raises(ValueError):

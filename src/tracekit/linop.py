@@ -52,10 +52,14 @@ def _require_finite(X, what: str) -> None:
 class LinearOperator:
     """Square operator accessed through counted matrix-vector products.
 
-    Subclasses implement ``_apply_block`` only, the product with a d x k
-    block; ``matvec`` queries it with one column.  A non-finite input or
-    result raises ValueError naming the operator class.  Counter updates are
-    lock-protected so concurrent applications never lose increments.
+    Subclasses implement ``_apply_block``, the product with a d x k block,
+    which ``matmat`` queries.  ``matvec`` queries ``_apply_vec``, the same
+    product taken as k separate vectors, each bit-identical to its
+    one-vector query; it defaults to ``_apply_block``, and an operator whose
+    block kernel rounds differently (a dense GEMM) overrides it.  A
+    non-finite input or result raises ValueError naming the operator class.
+    Counter updates are lock-protected so concurrent applications never lose
+    increments.
     """
 
     def __init__(self, dim: int):
@@ -76,14 +80,22 @@ class LinearOperator:
     def _apply_block(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
         raise NotImplementedError
 
+    def _apply_vec(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
+        return self._apply_block(X)
+
     def matvec(self, x: ArrayLike) -> NDArray[np.float64]:
-        """Apply the operator to one vector; increments query_count by 1."""
+        """Apply the operator to one vector, or to each column of a d x k
+        block as k separate vectors, each bit-identical to its one-vector
+        call; increments query_count by 1 (or k)."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self._dim,):
+        if x.ndim not in (1, 2) or x.shape[0] != self._dim:
             raise ValueError(
-                f"matvec expects a vector of length {self._dim}, got shape {x.shape}"
+                f"matvec expects a vector of length {self._dim} or a "
+                f"({self._dim}, k) block, got shape {x.shape}"
             )
-        return self._query(x[:, None])[:, 0]
+        if x.ndim == 1:
+            return self._query(x[:, None], self._apply_vec)[:, 0]
+        return self._query(x, self._apply_vec)
 
     def matmat(self, X: ArrayLike) -> NDArray[np.float64]:
         """Apply the operator to each column of X; increments query_count by k."""
@@ -92,24 +104,35 @@ class LinearOperator:
             raise ValueError(
                 f"matmat expects a ({self._dim}, k) block, got shape {X.shape}"
             )
-        return self._query(X)
+        return self._query(X, self._apply_block)
 
-    def _query(self, X: NDArray[np.float64]) -> NDArray[np.float64]:
+    def _query(self, X: NDArray[np.float64], kernel) -> NDArray[np.float64]:
         # The one query path.  matvec calls it directly, not through matmat,
         # so a profiler wrapping both public methods sees one query per call.
         # A nan or inf from any operator stops the caller here instead of
         # reaching an estimate (or the CSV).
         _require_finite(X, f"{type(self).__name__} input")
-        Y = self._apply_block(X)
+        Y = kernel(X)
         with self._lock:
             self._query_count += X.shape[1]
         _require_finite(Y, f"{type(self).__name__} output")
         return Y
 
 
+_PANEL = 64
+
+
 class DenseOperator(LinearOperator):
     """LinearOperator backed by an explicit square dense matrix; a float64
-    array is kept, not copied, so writing to it changes the operator."""
+    array is kept, not copied, so writing to it changes the operator.
+
+    ``matmat`` is one GEMM.  ``matvec`` runs one GEMV per (64-row panel,
+    vector), so a panel stays in cache while every vector of the block
+    passes it.  A panel's height is a multiple of 4, so each row's dot
+    product is the one a full GEMV computes (OpenBLAS's GEMV kernel takes
+    rows four at a time): a column of the block is bit-identical to its
+    one-vector query and to the full GEMV.
+    """
 
     def __init__(self, matrix: ArrayLike):
         A = np.asarray(matrix, dtype=np.float64)
@@ -121,6 +144,21 @@ class DenseOperator(LinearOperator):
 
     def _apply_block(self, X):
         return self.matrix @ X
+
+    def _apply_vec(self, X):
+        # The last call takes 64 to 127 rows (or all d < 64): a one-row call
+        # would be a dot product, which rounds differently from a GEMV.
+        d, k = X.shape
+        P = max(d // _PANEL - 1, 0)
+        h = P * _PANEL
+        A, Xt = self.matrix, X.T[:, :, None]  # k vectors, each d x 1
+        Y = np.empty((k, d))  # row i is vector i's product
+        # A C-order (P, k) result makes numpy loop over the vectors inside
+        # the loop over panels, so each panel is read from memory once.
+        head = A[:h].reshape(P, 1, _PANEL, d) @ Xt
+        Y[:, :h] = head.transpose(1, 0, 2, 3).reshape(k, h)
+        np.matmul(A[h:], Xt, out=Y[:, h:, None])
+        return Y.T
 
 
 class DiagonalOperator(LinearOperator):

@@ -29,6 +29,7 @@ __all__ = [
 
 
 _BREAKDOWN = 1e-12
+_GROUP = 8  # columns run in lockstep, one inner query per Krylov step
 
 
 def lanczos_apply(
@@ -39,49 +40,61 @@ def lanczos_apply(
 ) -> np.ndarray:
     """Approximate f(B) x with at most min(iterations, d) Lanczos steps per column.
 
-    x is one vector or a d x k block whose columns share one workspace; a
-    zero column maps to 0 without a query.  The caller asserts B = B^T.
-    Each Krylov vector is reorthogonalized against the whole basis, twice.
-    A column stops early, exact on its exhausted Krylov space, once beta <=
-    _BREAKDOWN * (the largest |alpha| or beta so far), a scale-free test.
-    f maps the eigenvalues of the j x j tridiagonal T to f(eigenvalues), and
-    a column's result is ||x|| * V f(T) e_1, for exactly j matvecs on B.
+    x is one vector or a d x k block.  Its columns run in lockstep, _GROUP
+    at a time: each Krylov step queries B once, ``op.matvec`` on the block
+    of the group's live columns, and each column keeps its own d x n
+    workspace, so it is bit-identical to its own call.  A zero column maps
+    to 0 without a query.  The caller asserts B = B^T.  Each Krylov vector
+    is reorthogonalized against its whole basis, twice.  A column stops
+    early, exact on its exhausted Krylov space, once beta <= _BREAKDOWN *
+    (the largest |alpha| or beta so far), a scale-free test.  f maps the
+    eigenvalues of the j x j tridiagonal T to f(eigenvalues), and a column's
+    result is ||x|| * V f(T) e_1, for exactly j matvecs on B.
     """
     n = min(_size(iterations, "iterations"), op.dim)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[0] != op.dim:
         raise ValueError(f"expected {op.dim} rows, got shape {x.shape}")
     X = x.reshape(op.dim, -1)
+    k = X.shape[1]
     Y = np.zeros(X.shape)
-    V = np.empty((op.dim, n))
-    alphas = np.empty(n)
-    betas = np.empty(n)
-    for c in range(X.shape[1]):
-        norm_x = float(np.linalg.norm(X[:, c]))
-        if norm_x == 0.0:
-            continue
-        V[:, 0] = X[:, c] / norm_x
-        j = scale = 0
-        while True:
-            w = op.matvec(V[:, j])
-            alphas[j] = float(V[:, j] @ w)
-            w = w - alphas[j] * V[:, j]
-            if j > 0:
-                w = w - betas[j - 1] * V[:, j - 1]
-            # Full reorthogonalization, twice, against everything so far.
-            basis = V[:, : j + 1]
-            w = w - basis @ (basis.T @ w)
-            w = w - basis @ (basis.T @ w)
-            beta = float(np.linalg.norm(w))
-            scale = max(scale, abs(alphas[j]), beta)
+    V = np.empty((min(_GROUP, k), op.dim, n))  # V[s] is slot s's C-order basis
+    alphas = np.empty((len(V), n))
+    betas = np.empty((len(V), n))
+    for first in range(0, k, _GROUP):
+        live = {}  # slot -> (column, ||x||)
+        for s, c in enumerate(range(first, min(first + _GROUP, k))):
+            norm_x = float(np.linalg.norm(X[:, c]))
+            if norm_x != 0.0:
+                V[s, :, 0] = X[:, c] / norm_x
+                live[s] = c, norm_x
+        scales = np.zeros(len(V))
+        j = 0
+        while live:
+            slots = list(live)
+            # Row i of W is B v_j of slots[i], contiguous as a matvec result.
+            W = np.ascontiguousarray(op.matvec(V[slots, :, j].T).T)
+            for s, w in zip(slots, W):
+                v = V[s]
+                alphas[s, j] = float(v[:, j] @ w)
+                w -= alphas[s, j] * v[:, j]
+                if j > 0:
+                    w -= betas[s, j - 1] * v[:, j - 1]
+                # Full reorthogonalization, twice, against everything so far.
+                basis = v[:, : j + 1]
+                w -= basis @ (basis.T @ w)
+                w -= basis @ (basis.T @ w)
+                beta = float(np.linalg.norm(w))
+                scales[s] = max(scales[s], abs(alphas[s, j]), beta)
+                if j + 1 == n or beta <= _BREAKDOWN * scales[s]:
+                    c, norm_x = live.pop(s)
+                    theta, U = scipy.linalg.eigh_tridiagonal(alphas[s, : j + 1], betas[s, :j])
+                    coeff = U @ (np.asarray(f(theta)) * U[0, :])
+                    Y[:, c] = norm_x * (v[:, : j + 1] @ coeff)
+                else:
+                    betas[s, j] = beta
+                    v[:, j + 1] = w / beta
             j += 1
-            if j == n or beta <= _BREAKDOWN * scale:
-                break
-            betas[j - 1] = beta
-            V[:, j] = w / beta
-        theta, U = scipy.linalg.eigh_tridiagonal(alphas[:j], betas[: j - 1])
-        coeff = U @ (np.asarray(f(theta)) * U[0, :])
-        Y[:, c] = norm_x * (V[:, :j] @ coeff)
     return Y.reshape(x.shape)
 
 
@@ -140,5 +153,5 @@ class PowerOperator(WrappedOperator):
     def _apply_block(self, X):
         Y = X
         for _ in range(self._q):
-            Y = self._inner.matmat(Y)
+            Y = self._inner.matvec(Y)
         return Y

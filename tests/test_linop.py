@@ -46,6 +46,10 @@ def test_matvec_dimension_mismatch():
     op = DenseOperator(np.eye(4))
     with pytest.raises(ValueError, match="length 4"):
         op.matvec(np.ones(5))
+    for bad in (np.ones((4, 2, 1)), np.ones((5, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="matvec expects"):
+            op.matvec(bad)
+    assert op.query_count == 0
     with pytest.raises(ValueError, match="non-finite"):
         op.matvec(np.array([1.0, np.nan, 0.0, 0.0]))
 
@@ -103,15 +107,42 @@ def test_matvec_is_the_one_column_matmat_of_every_operator(name):
         Y = op.matmat(x[:, None])
         assert op.query_count == before + 2
         assert y.shape == (12,) and y.tobytes() == Y[:, 0].tobytes()  # bitwise
+    # matvec on a block is its one-vector calls, bit for bit, counted k.
+    stacked = np.column_stack([op.matvec(X[:, i]) for i in range(3)])
+    before = op.query_count
+    assert op.matvec(X).tobytes() == stacked.tobytes()
+    assert op.query_count == before + 3
     # A zero-width block takes the same query path and spends nothing; a zero
     # column maps to zero.
     before = op.query_count
     assert op.matmat(np.empty((12, 0))).shape == (12, 0)
+    assert op.matvec(np.empty((12, 0))).shape == (12, 0)
     assert op.query_count == before
     X[:, 1] = 0.0
     Y = op.matmat(X)
     assert op.query_count == before + 3
     assert Y.shape == (12, 3) and not Y[:, 1].any()
+
+
+@pytest.mark.parametrize("d", [1, 3, 64, 67, 200])
+def test_dense_matvec_on_a_block_is_its_one_vector_gemvs_bitwise(d):
+    # matvec runs a block through 64-row panels; each column must be the
+    # bits of its one-vector call, and that call the bits of the full GEMV,
+    # whatever layout the block comes in.  A BLAS whose GEMV rounds a row
+    # differently by panel height fails here.
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((d, d))
+    op = DenseOperator(A)
+    for k in (1, 2, 9):
+        X = rng.standard_normal((d, k))
+        stacked = np.column_stack([op.matvec(X[:, i]) for i in range(k)])
+        for i in range(k):
+            assert stacked[:, i].tobytes() == (A @ X[:, i]).tobytes(), (k, i)
+        for block in (X, np.asfortranarray(X)):
+            before = op.query_count
+            Y = op.matvec(block)
+            assert op.query_count - before == k
+            assert Y.shape == (d, k) and Y.tobytes() == stacked.tobytes(), k
 
 
 def test_dense_and_diagonal_operators_reject_malformed_arrays():

@@ -81,30 +81,46 @@ def test_apply_argument_errors():
     assert op.query_count == 0
 
 
+def _block_test_operator(kind, d):
+    """B with an invariant block on nodes 0-2 (a 3 x 3 block, or a triangle),
+    and the steps a vector inside that block takes before it breaks down."""
+    if kind == "dense":
+        A = _sym(d, 19)
+        A[:3, 3:] = A[3:, :3] = 0.0
+        return DenseOperator(A), 3
+    # a triangle beside a ring with chords, as a sparse adjacency
+    edges = [(0, 1), (1, 2), (0, 2)]
+    edges += [(3 + i, 3 + (i + 1) % (d - 3)) for i in range(d - 3)]
+    edges += [(3 + i, 3 + (i + 7) % (d - 3)) for i in range(0, d - 3, 3)]
+    return AdjacencyOperator(Graph(node_count=d, edges=edges)), 2
+
+
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
 def test_apply_block_equals_its_columns_bitwise(kind):
-    # One call on a block runs each column's recurrence in a shared
-    # workspace; each column is byte-identical to its own call, a zero
-    # column included, with iterations both below and above d.
-    d = 30
-    if kind == "dense":
-        B = DenseOperator(_sym(d, 19))
-    else:  # a ring with chords, as a sparse adjacency
-        edges = [(i, (i + 1) % d) for i in range(d)]
-        edges += [(i, (i + 7) % d) for i in range(0, d, 3)]
-        B = AdjacencyOperator(Graph(node_count=d, edges=edges))
-    X = np.random.default_rng(20).standard_normal((d, 5))
-    X[:, 2] = 0.0
-    for iterations in (12, 45):
-        before = B.query_count
-        Y = lanczos_apply(B, np.exp, X, iterations)
-        block_queries = B.query_count - before
-        assert Y.shape == X.shape and not Y[:, 2].any()
-        for c in range(X.shape[1]):
-            y = lanczos_apply(B, np.exp, X[:, c], iterations)
-            assert y.tobytes() == Y[:, c].tobytes(), (iterations, c)
-        assert B.query_count - before == 2 * block_queries
-        assert block_queries <= 4 * min(iterations, d)
+    # One call on a block runs its columns in lockstep, eight at a time, with
+    # one query per Krylov step; each column is byte-identical to its own
+    # call, with iterations both below and above d.  d = 130 is two 64-row
+    # panels and 2 rows more, and 11 columns cross a group.  Column 2 is
+    # zero, and column 7 lies in B's invariant block, so it breaks down
+    # early while its group runs on.
+    for d in (30, 130):
+        B, early = _block_test_operator(kind, d)
+        X = np.random.default_rng(20).standard_normal((d, 11))
+        X[:, 2] = 0.0
+        X[3:, 7] = 0.0
+        for iterations in (12, d + 15):
+            before = B.query_count
+            Y = lanczos_apply(B, np.exp, X, iterations)
+            block_queries = B.query_count - before
+            assert Y.shape == X.shape and not Y[:, 2].any()
+            steps = []
+            for c in range(X.shape[1]):
+                start = B.query_count
+                y = lanczos_apply(B, np.exp, X[:, c], iterations)
+                steps.append(B.query_count - start)
+                assert y.tobytes() == Y[:, c].tobytes(), (d, iterations, c)
+            assert block_queries == sum(steps)
+            assert steps[2] == 0 and steps[7] == early
 
 
 def test_apply_stopping_test_is_scale_free():

@@ -16,7 +16,7 @@ MODULES = ("linop", "estimators", "matfunc", "synth", "graph", "bench")
 
 # What a LinearOperator subclass may define again: everything else of the base
 # (the query path, the counter, the shape) is the one shared implementation.
-_OPERATOR_HOOKS = {"__init__", "_apply_block"}
+_OPERATOR_HOOKS = {"__init__", "_apply_block", "_apply_vec"}
 
 
 def test_package_all_is_the_union_of_the_module_lists():
@@ -121,9 +121,10 @@ def _redefined_base_attributes(cls: type) -> set[str]:
 
 
 def test_operators_implement_one_kernel():
-    # Each operator supplies _apply_block (and __init__); matvec, matmat
-    # and the checked, counted query path are the base's alone.  The test
-    # instrument RecordingOperator follows the same rule.
+    # Each operator supplies _apply_block (and __init__, and _apply_vec
+    # where its block kernel rounds differently from one vector's); matvec,
+    # matmat and the checked, counted query path are the base's alone.  The
+    # test instrument RecordingOperator follows the same rule.
     class Detour(LinearOperator):
         def _apply_block(self, X):
             return X
@@ -198,7 +199,6 @@ def test_matvec_and_matmat_return_only_query_results():
 # They may be missing, not must: dropping them from the benchmark keeps the
 # test below green.
 _PERFBENCH_STALE = {
-    "linop.DenseOperator._apply_vec",
     "graph.AdjacencyOperator._apply_vec",
     "matfunc.lanczos_decompose",
 }

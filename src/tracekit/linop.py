@@ -8,6 +8,7 @@ rank-revealing orthonormalization and Moore-Penrose pseudoinversion.
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 from dataclasses import dataclass
@@ -47,6 +48,24 @@ def _require_finite(X, what: str) -> None:
     """The one finiteness rule for arrays entering or leaving the package."""
     if not np.isfinite(X).all():
         raise ValueError(f"{what} contains non-finite entries")
+
+
+def _norm(X) -> float:
+    """||X||_F (a vector's 2-norm) of a finite X, safe from over- and underflow.
+
+    The plain sum of squares overflows past about 1e154 per entry and
+    flushes to 0 below about 1e-162; only then is it recomputed on X scaled
+    by its largest |entry|, so every other norm has np.linalg.norm's bits.
+    """
+    # np.linalg.norm is the square root of this same BLAS dot of the same
+    # raveled X; np.vdot takes it without numpy's overflow warning.
+    x = np.ravel(X, order="K")
+    norm = math.sqrt(np.vdot(x, x))
+    if norm == math.inf or (norm == 0.0 and x.any()):
+        big = float(np.abs(x).max())
+        x = x / big
+        norm = big * math.sqrt(np.vdot(x, x))
+    return norm
 
 
 class LinearOperator:
@@ -261,7 +280,7 @@ def orthonormalize(X: ArrayLike) -> NDArray[np.float64]:
     if X.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {X.shape}")
     _require_finite(X, "matrix")
-    scale = np.linalg.norm(X)
+    scale = _norm(X)
     if scale == 0.0:
         return np.zeros((X.shape[0], 0))
     threshold = 1e-12 * scale

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from tracekit.linop import LinearOperator, WrappedOperator, _size
+from tracekit.linop import LinearOperator, WrappedOperator, _norm, _size
 
 __all__ = [
     "lanczos_apply",
@@ -64,7 +64,7 @@ def lanczos_apply(
     for first in range(0, k, _GROUP):
         live = {}  # slot -> (column, ||x||)
         for s, c in enumerate(range(first, min(first + _GROUP, k))):
-            norm_x = float(np.linalg.norm(X[:, c]))
+            norm_x = _norm(X[:, c])
             if norm_x != 0.0:
                 V[s, :, 0] = X[:, c] / norm_x
                 live[s] = c, norm_x
@@ -84,7 +84,7 @@ def lanczos_apply(
                 basis = v[:, : j + 1]
                 w -= basis @ (basis.T @ w)
                 w -= basis @ (basis.T @ w)
-                beta = float(np.linalg.norm(w))
+                beta = _norm(w)
                 scales[s] = max(scales[s], abs(alphas[s, j]), beta)
                 if j + 1 == n or beta <= _BREAKDOWN * scales[s]:
                     c, norm_x = live.pop(s)

@@ -1,11 +1,13 @@
-"""Test instruments: a dense spectral oracle, a query-recording wrapper and
-a peak-memory probe.
+"""Test instruments: a dense spectral oracle, a query-recording wrapper, a
+reference power-law builder and a peak-memory probe.
 
 None is part of the package.  ``DenseReference`` supplies exact spectral
 quantities to check the randomized estimators against,
 ``RecordingOperator`` keeps the blocks an estimator queried, for the
-accounting and non-adaptivity tests, and ``peak_rss_growth`` measures how far
-one call raises a fresh interpreter's peak resident set.
+accounting and non-adaptivity tests, ``power_law_reference`` builds the
+power-law matrix through ``orthonormalize``, the bits ``power_law_matrix``
+must keep, and ``peak_rss_growth`` measures how far one call raises a fresh
+interpreter's peak resident set.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from tracekit.linop import LinearOperator, WrappedOperator
+from tracekit.linop import LinearOperator, WrappedOperator, orthonormalize
+from tracekit.synth import power_law_eigenvalues
 
 
 class RecordingOperator(WrappedOperator):
@@ -85,6 +88,22 @@ class DenseReference:
         if k >= self.dim:
             return 0.0
         return float(np.sqrt(self._tail_sq[k]))
+
+
+def power_law_reference(dim: int, exponent: float, rng=None) -> NDArray[np.float64]:
+    """The power-law matrix of ``power_law_matrix``, built the plain way.
+
+    The same draw is orthonormalized by ``orthonormalize`` (a QR of the
+    C-order draw, which LAPACK factors in a Fortran copy of its own), and the
+    product and symmetrization are the same.  ``power_law_matrix`` factors a
+    Fortran copy in place to hold fewer n x n arrays, and must give these
+    bytes.
+    """
+    lam = power_law_eigenvalues(dim, exponent)
+    d = lam.size
+    Q = orthonormalize(np.random.default_rng(rng).standard_normal((d, d)))
+    A = (Q.T * lam) @ Q
+    return (A + A.T) / 2.0
 
 
 _ROOT = Path(__file__).resolve().parent.parent

@@ -382,6 +382,21 @@ def test_sweep_graph_estrada_source(tmp_path):
     assert all(r.median_rel_err < 1.0 for r in rows)
 
 
+def test_estrada_sketch_whose_norm_overflows_keeps_its_basis(tmp_path):
+    # exp(B) of the complete graph on 707 nodes has the eigenvalue e^706,
+    # about 4e306, so a two-column sketch's plain Frobenius norm overflows.
+    # The sketch is numerically rank one: hutch_pp at m = 6 spends 2 + 1 + 2
+    # matvecs a trial.  An overflowed norm dropped the whole basis, for 4
+    # matvecs and a 79 % error.
+    n = 707
+    p = tmp_path / "complete.txt"
+    p.write_text("".join(f"{i} {j}\n" for i in range(n) for j in range(i + 1, n)))
+    source = GraphEstradaSource(path=str(p), lanczos_iterations=10)
+    [row] = run_sweep(ExperimentSpec(source, ("hutch_pp",), (6,), trials=2))
+    assert row.mean_matvecs == 5.0
+    assert row.q75_rel_err < 1e-9
+
+
 def _sweep_to_csv(source, out):
     emit_csv(run_sweep(ExperimentSpec(source, ("hutchinson",), (4,), trials=2)), out)
 

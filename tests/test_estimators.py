@@ -127,6 +127,17 @@ def test_hutch_pp_budget_and_rank_deficiency():
     assert est.matvecs_used == 6  # A*S and A*G_def only
 
 
+def test_hutch_pp_keeps_its_basis_at_extreme_scales():
+    # A sketch whose Frobenius norm overflows (1e160) or underflows
+    # (1e-170) is still full rank, and the estimate scales with A.
+    plain = hutch_pp(DiagonalOperator(np.ones(60)), 30, rng=0)
+    for s in (1e160, 1e-170):
+        est = hutch_pp(DiagonalOperator(np.full(60, s)), 30, rng=0)
+        assert est.split == {"sketch": 10, "basis": 10, "residual": 10}
+        assert est.matvecs_used == 30
+        assert est.value == pytest.approx(s * plain.value, rel=1e-12)
+
+
 def test_hutch_pp_rejects_small_budget():
     with pytest.raises(ValueError):
         hutch_pp(DiagonalOperator(np.ones(4)), 2)

@@ -11,6 +11,7 @@ from tracekit.graph import AdjacencyOperator, Graph
 from tracekit.linop import (
     DenseOperator,
     DiagonalOperator,
+    _norm,
     orthonormalize,
     pseudoinverse,
     sample_probes,
@@ -277,6 +278,29 @@ def test_orthonormalize_interior_dependent_column():
     assert Q.shape == (10, 2)
     # Span is preserved even though a middle column was dropped.
     assert np.linalg.norm(X - Q @ (Q.T @ X)) < 1e-10 * np.linalg.norm(X)
+
+
+def test_norm_keeps_numpys_bits_and_survives_over_and_underflow():
+    M = np.random.default_rng(7).standard_normal((130, 9))
+    for X in (M, np.asfortranarray(M), M[:, 3], M[5, :], M[:, :4], M.T, M[:0]):
+        assert _norm(X) == float(np.linalg.norm(X))
+    # The plain sum of squares is inf at 1e160 and 0.0 at 1e-170.
+    for s in (1e160, 1e-170):
+        assert _norm(s * M) == pytest.approx(s * np.linalg.norm(M), rel=1e-15)
+    assert _norm(np.zeros((3, 2))) == 0.0
+
+
+def test_orthonormalize_keeps_a_sketch_whose_norm_over_or_underflows():
+    # The rank cut is relative to ||X||_F; an overflowed norm cut every
+    # column and an underflowed one took X for zero.
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((50, 4))
+    Q = orthonormalize(X)
+    v, w = rng.standard_normal((2, 10))
+    dependent = np.column_stack([v, 2.0 * v, w])
+    for s in (1e160, 1e-170, 1e150, 1e-150):
+        np.testing.assert_allclose(orthonormalize(s * X), Q, atol=1e-14)
+        assert orthonormalize(s * dependent).shape == (10, 2), s
 
 
 def test_orthonormalize_shape_errors():

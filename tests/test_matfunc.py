@@ -141,6 +141,22 @@ def test_apply_stopping_test_is_scale_free():
     np.testing.assert_array_equal(y, np.full(4, 1e-30))
 
 
+def test_apply_survives_norm_overflow_and_underflow():
+    # ||x|| and beta are plain sums of squares, which overflow past about
+    # 1e154 per entry and flush to 0 below about 1e-162.  An inf beta
+    # stopped a column after one query, and a 0 ||x|| mapped x to 0 unqueried.
+    B = np.diag(np.linspace(1.0, 2.0, 20))
+    x = np.random.default_rng(24).standard_normal(20)
+    op = DenseOperator(B)
+    ref = lanczos_apply(op, np.exp, x, 20)
+    for scale_b, scale_x in [(1e160, 1.0), (1.0, 1e-170), (1.0, 1e160), (1e160, 1e-170)]:
+        scaled = DenseOperator(scale_b * B)
+        y = lanczos_apply(scaled, lambda t: np.exp(t / scale_b), scale_x * x, 20)
+        assert scaled.query_count == op.query_count, (scale_b, scale_x)
+        err = np.linalg.norm(y / scale_x - ref) / np.linalg.norm(ref)
+        assert err < 1e-12, (scale_b, scale_x)
+
+
 def test_apply_exp_of_zero_is_identity():
     op = DenseOperator(np.zeros((5, 5)))
     x = np.array([1.0, -2.0, 3.0, 0.5, 0.0])

@@ -14,7 +14,7 @@ from tracekit.synth import (
     synthetic_2d_points,
 )
 
-from oracles import DenseReference
+from oracles import DenseReference, peak_rss_growth, power_law_reference
 
 
 # ------------------------------------------------------- power_law_eigenvalues
@@ -67,6 +67,31 @@ def test_power_law_matrix_deterministic_in_seed():
     np.testing.assert_array_equal(A1, A2)
     A3, _ = power_law_matrix(30, 1.0, rng=8)
     assert not np.array_equal(A1, A3)
+
+
+def test_power_law_matrix_equals_the_plain_build_bytewise():
+    # Factoring a Fortran copy of the draw in place runs the same LAPACK
+    # calls on the same data as orthonormalize's QR of the C-order draw.
+    # Sizes straddle OpenBLAS's and LAPACK's blocking.
+    sizes = (1, 2, 7, 40, 63, 64, 65, 127, 128, 129, 191, 192, 193, 256, 500, 777, 1000, 1500)
+    for d in sizes:
+        for c in (0.0, 0.5, 2.0):
+            for seed in (0, 5):
+                A, op = power_law_matrix(d, c, rng=seed)
+                assert A.tobytes() == power_law_reference(d, c, rng=seed).tobytes(), (d, c, seed)
+                assert op.matrix is A
+
+
+def test_power_law_matrix_rebuilds_hold_two_dense_copies():
+    # One n x n float64 array is 32 MB at n = 2,000.  While the QR runs,
+    # set-up holds the Fortran copy of the draw and the economic R; the
+    # C-order draw beside them raised three successive builds' peak by
+    # 4.32 n^2 doubles, against 3.32 without it.
+    n = 2000
+    setup = "from tracekit.synth import power_law_matrix\n"
+    call = f"for s in range(3):\n    power_law_matrix({n}, 0.5, s)\n"
+    growth = peak_rss_growth(setup, call)
+    assert growth <= 3.6 * n * n * 8, f"peak grew by {growth / (8 * n * n):.2f} n^2 doubles"
 
 
 def test_power_law_operator_matches_matrix():
@@ -196,18 +221,20 @@ def test_load_points_rejects_bad_files(tmp_path):
     nan.write_text("1.0 nan\n2.0 3.0\n")
     with pytest.raises(ValueError, match="non-finite"):
         load_points(nan)
-    # The first data line sets the layout, and the one parse's message names
-    # the file and the row where that parse stopped.
+    # The first data line sets the layout, and a fault's message names the
+    # file and the fault's 1-based line, counting comments and blank lines.
     for name, text, where in [
-        ("short.txt", "0.1 0.2\n0.3\n", "at row 2"),
-        ("short.csv", "0.1,0.2\n0.3\n", "at row 2"),
-        ("mixed.csv", "0.1,0.2\n0.3 0.4\n", "at row 2"),
-        ("empty_field.csv", "0.1,,0.2\n", "string '' to float64 at row 0, column 2"),
+        ("short.txt", "0.1 0.2\n0.3\n", "line 2: expected 2 fields, as on the first data line, got 1"),
+        ("short.csv", "0.1,0.2\n0.3\n", "line 2: expected 2 fields, as on the first data line, got 1"),
+        ("mixed.csv", "0.1,0.2\n0.3 0.4\n", "line 2: expected 2 fields, as on the first data line, got 1"),
+        ("empty_field.csv", "0.1,,0.2\n", "line 1, column 2: '' is not a number"),
+        ("bad_field.txt", "# h\n\n0 0\n1 x\n", "line 4, column 2: 'x' is not a number"),
+        ("short_late.txt", "# h\n\n0 0\n1\n", "line 4: expected 2 fields, as on the first data line, got 1"),
     ]:
         bad = tmp_path / name
         bad.write_text(text)
         with pytest.raises(
-            ValueError, match=rf"^{re.escape(str(bad))}: .*{re.escape(where)}"
+            ValueError, match=rf"^{re.escape(str(bad))}: {re.escape(where)}"
         ):
             load_points(bad)
     # Text that does not decode is a fault of the file, and names it.
@@ -241,6 +268,7 @@ def test_load_points_parses_once(tmp_path, monkeypatch):
         ("pts.txt", "0.0 0.0\n2.0 4.0\n", True),
         ("pts.csv", "0.0,1.0\n4.0,3.0\n", True),
         ("bad.csv", "0.1,0.2\n0.3\n", False),
+        ("bad.txt", "# h\n\n0 0\n1 x\n", False),
     ]:
         p = tmp_path / name
         p.write_text(text)

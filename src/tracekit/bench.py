@@ -25,7 +25,8 @@ from tracekit.graph import (
     load_edge_list,
     triangle_count_exact,
 )
-from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator, _size
+from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator
+from tracekit.linop import _require_finite, _size
 from tracekit.matfunc import PowerOperator, exp_operator, shifted_log_operator
 from tracekit.synth import (
     gaussian_kernel_matrix,
@@ -214,6 +215,7 @@ def run_sweep(spec: ExperimentSpec) -> list[TrialStats]:
     use linear interpolation between order statistics.
     """
     op, truth = spec.source.materialize(spec.seed)
+    _require_finite(truth, "ground-truth trace")
     if truth == 0.0:
         raise ValueError("ground-truth trace is zero; relative error is undefined")
     rows: list[TrialStats] = []

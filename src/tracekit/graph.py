@@ -181,8 +181,11 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def load_edge_list(path) -> Graph:
-    """Parse an edge-list file (see parse_edge_list)."""
-    return parse_edge_list(Path(path).read_text())
+    """Parse a UTF-8 edge-list file (see parse_edge_list)."""
+    try:
+        return parse_edge_list(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise EdgeListParseError(f"{path}: {err}") from None
 
 
 class AdjacencyOperator(LinearOperator):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,14 @@ __all__ = [
     "synthetic_2d_points",
     "load_points",
 ]
+
+# Point-file number grammar, what np.loadtxt reads as float64: an optional
+# sign and ASCII digits with an optional point and exponent, or inf,
+# infinity or nan in any case.  float() alone takes '1_0' and '\uff11' too.
+_NUMBER = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)",
+    re.ASCII | re.IGNORECASE,
+)
 
 
 def power_law_eigenvalues(dim: int, exponent: float) -> np.ndarray:
@@ -83,60 +92,46 @@ def synthetic_2d_points(n: int, rng=None) -> np.ndarray:
 
 
 def load_points(path) -> np.ndarray:
-    """Read 2-d coordinates from a two-column whitespace or CSV file.
+    """Read 2-d coordinates from a two-column whitespace or CSV UTF-8 file.
 
     The first data line (less its '#' comment and blanks) sets the layout:
-    CSV if it holds a comma, whitespace otherwise.  One parse; a fault names
-    the file and the 1-based file line it is on.  Axes are min-max
-    normalized to [0,1]^2, the kernel width's convention; a constant axis
-    collapses to 0.
+    CSV if it holds a comma, whitespace otherwise.  One pass reads, checks
+    and converts each line; a fault names the file and the 1-based file line
+    it is on.  Axes are min-max normalized to [0,1]^2, the kernel width's
+    convention; a constant axis collapses to 0.
     """
     path = Path(path)
     try:
-        lines = path.read_text().split("\n")
-        data = (line.partition("#")[0].strip() for line in lines)
-        first = next(d for d in data if d)
-        delimiter = "," if "," in first else None
-        pts = np.loadtxt(lines, ndmin=2, delimiter=delimiter)
-    except StopIteration:
-        raise ValueError(f"{path}: no points") from None
+        lines = path.read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: {err}") from None
-    except ValueError as err:
-        raise ValueError(f"{path}: {_first_fault(lines, delimiter) or err}") from None
-    if pts.shape[1] != 2:
-        raise ValueError(
-            f"{path}: expected two columns (x y per line), got {pts.shape[1]}"
-        )
+    width, values = 0, []
+    for number, line in enumerate(lines, 1):
+        text = line.partition("#")[0].strip()
+        if not text:
+            continue
+        if not width:
+            delimiter = "," if "," in text else None
+        fields = [field.strip() for field in text.split(delimiter)]
+        width = width or len(fields)
+        if len(fields) != width:
+            raise ValueError(
+                f"{path}: line {number}: expected {width} fields, as on the "
+                f"first data line, got {len(fields)}"
+            )
+        for column, field in enumerate(fields, 1):
+            if not _NUMBER.fullmatch(field):
+                raise ValueError(
+                    f"{path}: line {number}, column {column}: {field!r} is not a number"
+                )
+            values.append(float(field))
+    if not width:
+        raise ValueError(f"{path}: no points")
+    if width != 2:
+        raise ValueError(f"{path}: expected two columns (x y per line), got {width}")
+    pts = np.array(values).reshape(-1, 2)
     _require_finite(pts, str(path))
     lo = pts.min(axis=0)
     span = pts.max(axis=0) - lo
     span[span == 0.0] = 1.0
     return (pts - lo) / span
-
-
-def _first_fault(lines, delimiter) -> str | None:
-    """The 1-based file line, and the fault, of the first data line that
-    np.loadtxt refuses; None when no line is at fault by this reading.
-
-    numpy's own message counts data rows only, from 0 or from 1 by the kind
-    of fault.
-    """
-    width = None
-    for number, line in enumerate(lines, 1):
-        text = line.partition("#")[0].strip()
-        if not text:
-            continue
-        fields = text.split(delimiter)
-        width = width or len(fields)
-        if len(fields) != width:
-            return (
-                f"line {number}: expected {width} fields, as on the first "
-                f"data line, got {len(fields)}"
-            )
-        for column, field in enumerate(fields, 1):
-            try:
-                float(field)
-            except ValueError:
-                return f"line {number}, column {column}: {field.strip()!r} is not a number"
-    return None

@@ -285,6 +285,25 @@ def test_sweep_rejects_zero_trace_truth(tmp_path):
         run_sweep(spec)
 
 
+class _TruthSource:
+    def __init__(self, truth):
+        self.op, self.truth = DiagonalOperator(np.ones(5)), truth
+
+    def materialize(self, seed):
+        return self.op, self.truth
+
+
+@pytest.mark.parametrize("truth", [np.inf, -np.inf, np.nan])
+def test_sweep_rejects_non_finite_truth_before_any_trial(truth):
+    # A dense Estrada truth past exp(709) overflows to inf; the sweep names
+    # the truth, not the first query of a trial.
+    source = _TruthSource(truth)
+    spec = ExperimentSpec(source, ("hutchinson",), (4,), trials=2)
+    with pytest.raises(ValueError, match="^ground-truth trace contains non-finite"):
+        run_sweep(spec)
+    assert source.op.query_count == 0
+
+
 def test_sweep_results_independent_of_estimator_subset():
     base = dict(budgets=(12, 24), trials=6, seed=21)
     both = run_sweep(
@@ -543,6 +562,27 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert lines[0] == "estimator,m,median_rel_err,q25,q75,mean_matvecs"
     assert len(lines) == 5
     assert lines[1].startswith("hutchinson,6,")
+
+
+def test_cli_points_file(tmp_path, capsys):
+    pts = tmp_path / "pts.txt"
+    xy = synthetic_2d_points(30, rng=5).tolist()
+    pts.write_text("# x y\n\n" + "".join(f"{x!r} {y!r}\n" for x, y in xy))
+    out = tmp_path / "res.csv"
+    args = ["--source", "kernel_logdet", "--estimators", "hutchinson",
+            "--budgets", "4", "--trials", "2", "--lanczos-iters", "10",
+            "--out", str(out)]
+    assert main([*args, "--points-file", str(pts)]) == 0
+    assert f"wrote 1 row(s) to {out}" in capsys.readouterr().out
+    lines = out.read_text().splitlines()
+    assert lines[0] == "estimator,m,median_rel_err,q25,q75,mean_matvecs"
+    assert len(lines) == 2 and lines[1].startswith("hutchinson,4,")
+    out.unlink()
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# h\n\n0 0\n1 x\n")
+    assert main([*args, "--points-file", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 4, column 2: 'x' is not a number\n"
+    assert not out.exists()
 
 
 def test_cli_rejects_unknown_estimator(tmp_path, capsys):

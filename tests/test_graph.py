@@ -1,8 +1,12 @@
 """Edge-list ingestion, adjacency oracle, triangle and Estrada references."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tracekit
 from tracekit.estimators import exact_trace
 from tracekit.graph import (
     AdjacencyOperator,
@@ -237,6 +242,42 @@ def test_load_edge_list_file(tmp_path):
     g = load_edge_list(p)
     assert g.node_count == 3
     assert g.edge_count == 2
+
+
+def test_load_edge_list_names_an_undecodable_file(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_bytes(b"# caf\xe9\n0 1\n")
+    with pytest.raises(
+        EdgeListParseError, match=rf"^{re.escape(str(p))}: 'utf-8' codec can't decode"
+    ):
+        load_edge_list(p)
+
+
+# Loads a point file and an edge list in an interpreter whose locale
+# encoding is ASCII and which turns every default-encoding read into an error.
+_READ_IN_C_LOCALE = """
+import codecs, locale, sys
+sys.path.insert(0, sys.argv[1])
+from tracekit.graph import load_edge_list
+from tracekit.synth import load_points
+assert codecs.lookup(locale.getencoding()).name == "ascii", locale.getencoding()
+print(load_points(sys.argv[2]).tolist(), load_edge_list(sys.argv[3]).edges.tolist())
+"""
+
+
+def test_file_readers_decode_utf8_in_any_locale(tmp_path):
+    points, edges = tmp_path / "pts.txt", tmp_path / "g.txt"
+    points.write_text("# caf\u00e9\n0 0\n2 4\n", encoding="utf-8")
+    edges.write_text("# caf\u00e9\n0 1\n1 2\n", encoding="utf-8")
+    src = Path(tracekit.__file__).parents[1]
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", _READ_IN_C_LOCALE, str(src), str(points), str(edges)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[[0.0, 0.0], [1.0, 1.0]] [[0, 1], [1, 2]]\n"
 
 
 # ------------------------------------------------------------------- adjacency

@@ -2,9 +2,12 @@
 
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracekit.synth import (
     gaussian_kernel_matrix,
@@ -202,6 +205,10 @@ def test_load_points_csv(tmp_path):
     np.testing.assert_allclose(pts, [[0.0, 0.0], [1.0, 1.0]])
     p.write_bytes(b"0.0, 1.0\r\n4.0,3.0\r\n")
     np.testing.assert_allclose(load_points(p), [[0.0, 0.0], [1.0, 1.0]])
+    # A line that is blank once its comment is gone is skipped in either
+    # layout (np.loadtxt read it as a one-field row of a CSV).
+    p.write_text(" \n0.0,1.0\n  # c\n\t\n4.0,3.0\n")
+    np.testing.assert_allclose(load_points(p), [[0.0, 0.0], [1.0, 1.0]])
 
 
 def test_load_points_constant_axis_collapses(tmp_path):
@@ -230,6 +237,9 @@ def test_load_points_rejects_bad_files(tmp_path):
         ("empty_field.csv", "0.1,,0.2\n", "line 1, column 2: '' is not a number"),
         ("bad_field.txt", "# h\n\n0 0\n1 x\n", "line 4, column 2: 'x' is not a number"),
         ("short_late.txt", "# h\n\n0 0\n1\n", "line 4: expected 2 fields, as on the first data line, got 1"),
+        # float() reads these two, but they are outside the number grammar.
+        ("underscore.txt", "0 0\n1 1_0\n", "line 2, column 2: '1_0' is not a number"),
+        ("fullwidth.txt", "0 0\n1 \uff11\n", "line 2, column 2: '\uff11' is not a number"),
     ]:
         bad = tmp_path / name
         bad.write_text(text)
@@ -257,13 +267,13 @@ def test_load_points_rejects_bad_files(tmp_path):
 
 def test_load_points_parses_once(tmp_path, monkeypatch):
     calls = []
-    loadtxt = np.loadtxt
+    read_text = Path.read_text
 
-    def counting_loadtxt(*args, **kwargs):
-        calls.append(1)
-        return loadtxt(*args, **kwargs)
+    def counting_read_text(self, *args, **kwargs):
+        calls.append(self)
+        return read_text(self, *args, **kwargs)
 
-    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
     for name, text, ok in [
         ("pts.txt", "0.0 0.0\n2.0 4.0\n", True),
         ("pts.csv", "0.0,1.0\n4.0,3.0\n", True),
@@ -278,7 +288,42 @@ def test_load_points_parses_once(tmp_path, monkeypatch):
         else:
             with pytest.raises(ValueError):
                 load_points(p)
-        assert len(calls) == 1, name
+        assert calls == [p], name
+
+
+_LAYOUTS = [" ", "\t", ",", ", "]
+_FORMATS = [repr, "{:.6e}".format]
+
+
+@st.composite
+def _point_file(draw) -> str:
+    pairs = draw(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                    st.floats(allow_nan=False, allow_infinity=False)),
+                          min_size=1, max_size=20))
+    layout = draw(st.sampled_from(_LAYOUTS))
+    lines = []
+    for x, y in pairs:
+        lines += draw(st.lists(st.sampled_from(["", "# x, y", "#"]), max_size=2))
+        fmt = draw(st.sampled_from(_FORMATS))
+        lines.append(f"{fmt(x)}{layout}{fmt(y)}")
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_file())
+def test_load_points_matches_numpy_bytewise(tmp_path_factory, text):
+    # np.loadtxt of the same text, normalized as load_points normalizes, is
+    # the reference parse.
+    p = tmp_path_factory.mktemp("points") / "pts.txt"
+    p.write_text(text, encoding="utf-8")
+    delimiter = "," if "," in text.replace("# x, y", "") else None
+    pts = np.loadtxt(text.split("\n"), ndmin=2, delimiter=delimiter)
+    lo = pts.min(axis=0)
+    span = pts.max(axis=0) - lo
+    span[span == 0.0] = 1.0
+    want = (pts - lo) / span
+    got = load_points(p)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_loaded_points_feed_kernel(tmp_path):

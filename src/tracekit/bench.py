@@ -148,7 +148,8 @@ class ExperimentSpec:
     """One benchmark sweep: source x estimators x budgets, `trials` deep.
 
     Budgets, trials and seed must be integers; a float raises TypeError.
-    Estimators must not repeat, and budgets must be strictly ascending.
+    Estimators must not repeat, budgets must be strictly ascending, and the
+    largest budget must reach every estimator's minimum.
     """
 
     source: MatrixSource
@@ -176,6 +177,13 @@ class ExperimentSpec:
             raise ValueError("need at least one budget")
         if any(b <= a for a, b in zip(self.budgets, self.budgets[1:])):
             raise ValueError(f"budgets must be strictly ascending, got {self.budgets}")
+        # A rule that accepts m accepts m + 1: the largest budget decides
+        # whether an estimator runs anywhere on the grid.
+        for e in self.estimators:
+            try:
+                ESTIMATORS[e](self.budgets[-1])
+            except ValueError as exc:
+                raise ValueError(f"no budget in the grid can run {e}: {exc}") from None
         object.__setattr__(self, "trials", _size(self.trials, "trials"))
         object.__setattr__(self, "seed", _size(self.seed, "seed", minimum=0))
 
@@ -210,8 +218,8 @@ def _trial_rng(seed: int, estimator: str, m: int, trial: int) -> np.random.Gener
 def run_sweep(spec: ExperimentSpec) -> list[TrialStats]:
     """Run the full sweep; one TrialStats row per valid (estimator, m) cell.
 
-    A budget the estimator's budget rule rejects is logged and its cell
-    skipped before any trial runs; any other failure propagates.  Quartiles
+    A budget below the estimator's minimum is logged and its cell skipped
+    before any trial runs; any other failure propagates.  Quartiles
     use linear interpolation between order statistics.
     """
     op, truth = spec.source.materialize(spec.seed)

@@ -52,9 +52,10 @@ class TraceEstimate:
     split: dict[str, int]
 
 
-# Budget rules: each maps a budget m to the column counts its estimator
-# spends, or raises ValueError when the estimator cannot use m.  The
-# estimator and the registry below call the same rule.
+# Budget rules: each is one minimum and one split.  It maps a budget m to
+# the column counts its estimator spends, or raises ValueError when m is
+# below the estimator's minimum, so a rule that accepts m accepts m + 1.
+# The estimator and the registry below call the same rule.
 
 
 def _hutchinson_split(m: int) -> int:
@@ -67,30 +68,15 @@ def _hutch_pp_split(m: int) -> int:
 
 
 def _hutch_pp_gauss_split(m: int) -> tuple[int, int]:
-    m = _size(m, "hutch_pp_gauss budget m", minimum=0)
-    if m < 6 or m % 4 != 2:
-        rem = (m - 2) % 4
-        lower = m - rem
-        upper = lower + 4
-        if upper < 6:
-            upper = 6
-        nearest = f"{lower} and {upper}" if lower >= 6 else f"{upper}"
-        raise ValueError(
-            f"hutch_pp_gauss needs m = 2 (mod 4) and m >= 6, got {m}; "
-            f"nearest valid budgets: {nearest}"
-        )
-    return (m + 2) // 4, (m - 2) // 2
+    # The sketch is spent twice (A S and A Q); the residual takes the rest.
+    m = _size(m, "hutch_pp_gauss budget m", minimum=3)
+    s = (m + 2) // 4
+    return s, m - 2 * s
 
 
 def _na_hutch_pp_split(m: int) -> tuple[int, int, int]:
-    m = _size(m, "na_hutch_pp budget m", minimum=0)
-    n1, n2, n3 = m // 4, m // 2, m // 4
-    if min(n1, n2, n3) < 1:
-        raise ValueError(
-            f"budget m={m} leaves an empty probe block "
-            f"(floors: {n1}, {n2}, {n3}); increase m"
-        )
-    return n1, n2, n3
+    m = _size(m, "na_hutch_pp budget m", minimum=4)
+    return m // 4, m // 2, m // 4
 
 
 def _subspace_projection_split(m: int) -> int:
@@ -183,10 +169,10 @@ def hutch_pp(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
 def hutch_pp_gauss(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
     """Gaussian-sketch variant of hutch_pp with an exact budget of m matvecs.
 
-    Requires m = 2 (mod 4) and m >= 6 so the split is integral: the sketch S
-    is Gaussian with (m+2)/4 columns (spent twice: A S and A Q), the
-    residual probes G are Rademacher with (m-2)/2 columns, and the residual
-    average uses the factor 2/(m-2).
+    Takes any m >= 3: the sketch S is Gaussian with s = floor((m+2)/4)
+    columns (spent twice: A S and A Q), and the residual probes G are
+    Rademacher with the other m - 2s columns, over which the residual
+    average runs.
     """
     n_sketch, n_resid = _hutch_pp_gauss_split(m)
     return _deflated_estimate(op, n_sketch, "gaussian", n_resid, rng)
@@ -198,8 +184,8 @@ def na_hutch_pp_probes(d: int, m: int, rng=None) -> np.ndarray:
     Exposed so callers (and the non-adaptivity test) can reconstruct every
     query vector from the seed alone, before any operator output exists.
     The Rademacher blocks S, R and G have floor(m/4), floor(m/2) and
-    floor(m/4) columns, each required >= 1, and are drawn from independent
-    streams; leftover budget is discarded.
+    floor(m/4) columns (so m >= 4), drawn from independent streams;
+    leftover budget is discarded.
     """
     return np.hstack([
         sample_probes(d, n, "rademacher", g).entries

@@ -181,10 +181,10 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def load_edge_list(path) -> Graph:
-    """Parse a UTF-8 edge-list file (see parse_edge_list)."""
+    """Parse a UTF-8 edge-list file (see parse_edge_list); a fault names the file."""
     try:
         return parse_edge_list(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as err:
+    except (UnicodeDecodeError, EdgeListParseError) as err:
         raise EdgeListParseError(f"{path}: {err}") from None
 
 

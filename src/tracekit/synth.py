@@ -98,7 +98,8 @@ def load_points(path) -> np.ndarray:
     CSV if it holds a comma, whitespace otherwise.  One pass reads, checks
     and converts each line; a fault names the file and the 1-based file line
     it is on.  Axes are min-max normalized to [0,1]^2, the kernel width's
-    convention; a constant axis collapses to 0.
+    convention; a constant axis collapses to 0, and an axis whose span
+    overflows float64 is refused.
     """
     path = Path(path)
     try:
@@ -132,6 +133,9 @@ def load_points(path) -> np.ndarray:
     pts = np.array(values).reshape(-1, 2)
     _require_finite(pts, str(path))
     lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
+    with np.errstate(over="ignore"):
+        span = pts.max(axis=0) - lo
+    if np.isinf(span).any():
+        raise ValueError(f"{path}: an axis spans more than the largest float64")
     span[span == 0.0] = 1.0
     return (pts - lo) / span

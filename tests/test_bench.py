@@ -206,17 +206,38 @@ def test_sweep_skips_invalid_budget_cells_and_continues(caplog):
     spec = ExperimentSpec(
         PowerLawSource(exponent=1.0, dim=60),
         ("hutch_pp_gauss", "hutchinson"),
-        (8, 10),
+        (2, 10),
         trials=4,
         seed=2,
     )
     with caplog.at_level("WARNING"):
         rows = run_sweep(spec)
     cells = {(r.estimator, r.m) for r in rows}
-    # m=8 is not 2 mod 4: that one cell drops, everything else stays.
-    assert cells == {("hutch_pp_gauss", 10), ("hutchinson", 8), ("hutchinson", 10)}
-    assert any("skipping hutch_pp_gauss at m=8" in rec.getMessage()
+    # m=2 is below hutch_pp_gauss's minimum of 3: that one cell drops.
+    assert cells == {("hutch_pp_gauss", 10), ("hutchinson", 2), ("hutchinson", 10)}
+    assert any("skipping hutch_pp_gauss at m=2" in rec.getMessage()
                for rec in caplog.records)
+
+
+def test_a_grid_that_runs_no_cell_of_an_estimator_is_refused(tmp_path, capsys, monkeypatch):
+    src = PowerLawSource(exponent=1.0, dim=40)
+    with pytest.raises(
+        ValueError,
+        match="no budget in the grid can run na_hutch_pp: "
+        "na_hutch_pp budget m must be >= 4, got 3",
+    ):
+        ExperimentSpec(src, ("hutchinson", "na_hutch_pp"), (2, 3), 2)
+    # Refused before the source is built or its ground truth computed.
+    monkeypatch.setattr(PowerLawSource, "materialize", None)
+    out = tmp_path / "x.csv"
+    rc = main(["--source", "power_law", "--estimators", "na_hutch_pp",
+               "--budgets", "2,3", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: no budget in the grid can run na_hutch_pp: "
+        "na_hutch_pp budget m must be >= 4, got 3\n"
+    )
+    assert not out.exists()
 
 
 def test_a_sketch_wider_than_the_operator_runs():

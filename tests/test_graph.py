@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracekit
+from tracekit.cli import main
 from tracekit.estimators import exact_trace
 from tracekit.graph import (
     AdjacencyOperator,
@@ -251,6 +252,20 @@ def test_load_edge_list_names_an_undecodable_file(tmp_path):
         EdgeListParseError, match=rf"^{re.escape(str(p))}: 'utf-8' codec can't decode"
     ):
         load_edge_list(p)
+
+
+def test_load_edge_list_names_its_file_in_a_parse_fault(tmp_path, capsys):
+    p = tmp_path / "g.txt"
+    p.write_text("0 1\n1 2\n1 x\n")
+    message = f"{p}: line 3: expected two integer node ids, got '1 x'"
+    with pytest.raises(EdgeListParseError, match=f"^{re.escape(message)}$"):
+        load_edge_list(p)
+    out = tmp_path / "x.csv"
+    assert main(["--source", "graph_triangles", "--graph", str(p),
+                 "--estimators", "hutchinson", "--budgets", "3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # Loads a point file and an edge list in an interpreter whose locale

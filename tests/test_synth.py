@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracekit.synth import (
@@ -265,6 +265,21 @@ def test_load_points_rejects_bad_files(tmp_path):
                 load_points(path)
 
 
+def test_load_points_refuses_an_axis_whose_span_overflows(tmp_path):
+    p = tmp_path / "wide.txt"
+    p.write_text("-1e308 0\n1e308 1\n0 0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ValueError,
+            match=rf"^{re.escape(str(p))}: an axis spans more than the largest float64$",
+        ):
+            load_points(p)
+    # A span just inside float64 still loads.
+    p.write_text("-1e308 0\n7e307 1\n0 0.5\n")
+    assert np.isfinite(load_points(p)).all()
+
+
 def test_load_points_parses_once(tmp_path, monkeypatch):
     calls = []
     read_text = Path.read_text
@@ -311,6 +326,7 @@ def _point_file(draw) -> str:
 
 @settings(max_examples=200, deadline=None)
 @given(_point_file())
+@example("-1e308 0\n1e308 1\n")
 def test_load_points_matches_numpy_bytewise(tmp_path_factory, text):
     # np.loadtxt of the same text, normalized as load_points normalizes, is
     # the reference parse.
@@ -319,7 +335,13 @@ def test_load_points_matches_numpy_bytewise(tmp_path_factory, text):
     delimiter = "," if "," in text.replace("# x, y", "") else None
     pts = np.loadtxt(text.split("\n"), ndmin=2, delimiter=delimiter)
     lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
+    with np.errstate(over="ignore"):
+        span = pts.max(axis=0) - lo
+    if np.isinf(span).any():
+        # The reference's normalization overflows; load_points refuses.
+        with pytest.raises(ValueError, match="spans more than the largest float64"):
+            load_points(p)
+        return
     span[span == 0.0] = 1.0
     want = (pts - lo) / span
     got = load_points(p)

@@ -206,7 +206,8 @@ def na_hutch_pp(op: LinearOperator, m: int, rng=None) -> TraceEstimate:
 
     i.e. the surrogate's trace plus Hutchinson on the remainder, which keeps
     the combined estimator unbiased.  A singular S^T Z is handled by the
-    pseudoinverse cutoff.
+    pseudoinverse cutoff.  Assumes A = A^T: W = A S stands in for A^T S, so
+    on a general A the estimate stays unbiased but falls to Hutchinson's rate.
     """
     n1, n2, n3 = _na_hutch_pp_split(m)
     # The probes exist once: S and G are column views of the queried block.

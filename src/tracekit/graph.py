@@ -31,9 +31,7 @@ __all__ = [
 # that str.splitlines treats as line breaks are refused even in comments, so
 # no tool splits a comment into a data line.
 _COMMENT = re.compile(r"[ \t]*(?:#[^\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?")
-_DATA = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]+[+-]?[0-9]+[ \t]*")
 _NOT_DATA = re.compile(r"[^0-9+\- \t\n]")
-_INT64 = np.iinfo(np.int64)
 
 # Largest graph whose Estrada index is computed by dense eigendecomposition.
 _DENSE_ESTRADA_MAX = 2000
@@ -100,20 +98,22 @@ class Graph:
         return A
 
 
-def _first_bad_line(text: str) -> EdgeListParseError:
-    """The parse error naming the first line outside the grammar."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if _COMMENT.fullmatch(line):
-            continue
-        if not _DATA.fullmatch(line):
-            return EdgeListParseError(
-                f"line {lineno}: expected two integer node ids, got {line!r}"
-            )
-        if any(not _INT64.min <= int(tok) <= _INT64.max for tok in line.split()):
-            return EdgeListParseError(
-                f"line {lineno}: node id outside the int64 range in {line!r}"
-            )
-    return EdgeListParseError("malformed edge list")
+def _edge_ids(text: str) -> np.ndarray:
+    """The (E, 2) int64 ids of a "\\n"-split text; ValueError off the grammar."""
+    # A line holding anything but digits, signs and blanks must be a comment.
+    pos = 0
+    while match := _NOT_DATA.search(text, pos):
+        start = text.rfind("\n", 0, match.start()) + 1
+        pos = text.find("\n", match.start())
+        pos = len(text) if pos < 0 else pos
+        if not _COMMENT.fullmatch(text, start, pos):
+            raise ValueError("a line is neither blank, a comment nor data")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        ids = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+    if ids.size and ids.shape[1] != 2:
+        raise ValueError(f"{ids.shape[1]} node ids on a line")
+    return ids.reshape(-1, 2)
 
 
 def _first_seen(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,29 +139,24 @@ def parse_edge_list(text: str) -> Graph:
 
     Each line is blank, a comment (first non-blank character '#'), or two
     integer node IDs (optional sign, ASCII digits, within int64) separated by
-    spaces or tabs; lines end in '\\n' or '\\r\\n'.  IDs are compacted to
-    0..n-1 in first-seen order, (u,v)/(v,u) duplicates merge, and self-loops
-    are dropped (counted).
+    spaces or tabs; lines end in '\\n' or '\\r\\n'.  One check (a scan and one
+    ``np.loadtxt`` call) accepts the text, or runs on each line to name the
+    first it refuses.  IDs are compacted to 0..n-1 in first-seen order,
+    (u,v)/(v,u) duplicates merge, and self-loops are dropped (counted).
     """
     text = text.replace("\r\n", "\n")
-    # A line holding anything but digits, signs and blanks must be a comment.
-    pos = 0
-    while match := _NOT_DATA.search(text, pos):
-        start = text.rfind("\n", 0, match.start()) + 1
-        pos = text.find("\n", match.start())
-        pos = len(text) if pos < 0 else pos
-        if not _COMMENT.fullmatch(text, start, pos):
-            raise _first_bad_line(text)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            ids = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
-        except ValueError:
-            raise _first_bad_line(text) from None
-    if ids.size == 0:
-        ids = ids.reshape(0, 2)
-    elif ids.shape[1] != 2:
-        raise _first_bad_line(text)
+    try:
+        ids = _edge_ids(text)
+    except ValueError:
+        # The same check, line by line, names the first line it refuses.
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            try:
+                _edge_ids(line)
+            except ValueError:
+                raise EdgeListParseError(
+                    f"line {lineno}: expected two integer node ids, got {line!r}"
+                ) from None
+        raise
     loops = ids[:, 0] == ids[:, 1]
     ids = ids[~loops]
     # Label each ID by the rank of its first appearance, row-major.
@@ -181,9 +176,10 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def load_edge_list(path) -> Graph:
-    """Parse a UTF-8 edge-list file (see parse_edge_list); a fault names the file."""
+    """Parse a UTF-8 file's bytes as parse_edge_list parses a text, with no
+    newline translation (a bare CR is refused); a fault names the file."""
     try:
-        return parse_edge_list(Path(path).read_text(encoding="utf-8"))
+        return parse_edge_list(Path(path).read_bytes().decode("utf-8"))
     except (UnicodeDecodeError, EdgeListParseError) as err:
         raise EdgeListParseError(f"{path}: {err}") from None
 

@@ -1,13 +1,16 @@
-"""Test instruments: a dense spectral oracle, a query-recording wrapper, a
-reference power-law builder and a peak-memory probe.
+"""Test instruments: a dense spectral oracle, a query-recording wrapper, an
+operator that outputs nan, a reference power-law builder and a peak-memory
+probe.
 
 None is part of the package.  ``DenseReference`` supplies exact spectral
 quantities to check the randomized estimators against,
 ``RecordingOperator`` keeps the blocks an estimator queried, for the
-accounting and non-adaptivity tests, ``power_law_reference`` builds the
-power-law matrix through ``orthonormalize``, the bits ``power_law_matrix``
-must keep, and ``peak_rss_growth`` measures how far one call raises a fresh
-interpreter's peak resident set.
+accounting and non-adaptivity tests, ``NanOperator`` answers every query
+with nan, for the tests that a fault raises where it is made,
+``power_law_reference`` builds the power-law matrix through
+``orthonormalize``, the bits ``power_law_matrix`` must keep, and
+``peak_rss_growth`` measures how far one call raises a fresh interpreter's
+peak resident set.
 """
 
 from __future__ import annotations
@@ -39,6 +42,13 @@ class RecordingOperator(WrappedOperator):
     def _apply_block(self, X):
         self.queries.append(X.copy())
         return self._inner.matmat(X)
+
+
+class NanOperator(LinearOperator):
+    """An operator whose every output entry is nan."""
+
+    def _apply_block(self, X):
+        return np.full(X.shape, np.nan)
 
 
 class DenseReference:

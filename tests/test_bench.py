@@ -29,7 +29,7 @@ from tracekit.synth import (
     synthetic_2d_points,
 )
 
-from oracles import peak_rss_growth
+from oracles import NanOperator, peak_rss_growth
 
 
 def _stats(pairs):
@@ -271,21 +271,16 @@ def test_a_rank_deficient_projection_spends_fewer_than_2k(monkeypatch):
     assert rows[0].mean_matvecs == 41 / 3
 
 
-class _NanOperator(LinearOperator):
-    def _apply_block(self, X):
-        return np.full(X.shape, np.nan)
-
-
 class _NanSource:
     def materialize(self, seed):
-        return _NanOperator(30), 1.0
+        return NanOperator(30), 1.0
 
 
 @pytest.mark.parametrize("estimator", ["hutchinson", "hutch_pp", "na_hutch_pp"])
 def test_sweep_fails_loudly_mid_cell(estimator, tmp_path, capsys, monkeypatch):
     # A valid budget whose trials fail is an error, not a skipped cell.
     spec = ExperimentSpec(_NanSource(), (estimator,), (6, 12), trials=2)
-    with pytest.raises(ValueError, match="_NanOperator output contains non-finite"):
+    with pytest.raises(ValueError, match="NanOperator output contains non-finite"):
         run_sweep(spec)
     monkeypatch.setitem(cli._SOURCES, "nan", lambda args: _NanSource())
     out = tmp_path / "nan.csv"

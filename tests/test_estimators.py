@@ -1,5 +1,6 @@
 """Estimator contracts: exactness cases, unbiasedness, budgets, non-adaptivity."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from tracekit import estimators
-from tracekit.linop import DenseOperator, DiagonalOperator
+from tracekit.linop import DenseOperator, DiagonalOperator, ProbeMatrix, sample_probes
 from tracekit.estimators import (
     ESTIMATORS,
     _na_hutch_pp_split,
@@ -425,19 +426,33 @@ def test_quantile_scaling_in_budget():
 # ------------------------------------------------------------ general matrices
 
 
-@pytest.mark.parametrize("c", [1.0, pytest.param(2.0, marks=pytest.mark.slow)])
-def test_error_rates_on_an_indefinite_matrix(c):
+@pytest.mark.parametrize("c, symmetric", [
+    pytest.param(1.0, True, id="1.0"),
+    pytest.param(1.0, False, id="1.0-nonsymmetric"),
+    pytest.param(2.0, True, id="2.0", marks=pytest.mark.slow),
+    pytest.param(2.0, False, id="2.0-nonsymmetric", marks=pytest.mark.slow),
+])
+def test_error_rates_on_an_indefinite_matrix(c, symmetric):
     # The paper's general-matrix claim: error <= eps * ||A||_* at O(1/eps)
     # matvecs for Hutch++, O(1/eps^2) for Hutchinson.  A = Q^T diag(lam) Q
     # with lam = +-i^(-c), random signs, so the trace is far below ||A||_*
     # and error relative to the trace would hide the rate.  Bands from the
-    # rates -1 and -1/2.
+    # rates -1 and -1/2.  The non-symmetric input is A = Q diag(i^(-c)) V^T
+    # with Q, V independent random orthogonal matrices; na_hutch_pp assumes
+    # A = A^T, so there it keeps only Hutchinson's rate, and its slope is
+    # reported with no band.
     d, budgets, trials = 1000, (30, 60, 120, 240, 480), 100
     rng = np.random.default_rng(12)
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    lam = rng.choice([-1.0, 1.0], d) * np.arange(1, d + 1, dtype=float) ** -c
-    op = DenseOperator((Q.T * lam) @ Q)
-    trace, nuclear = lam.sum(), np.abs(lam).sum()
+    if symmetric:
+        lam = rng.choice([-1.0, 1.0], d) * np.arange(1, d + 1, dtype=float) ** -c
+        op, trace = DenseOperator((Q.T * lam) @ Q), lam.sum()
+    else:
+        V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        lam = np.arange(1, d + 1, dtype=float) ** -c
+        A = (Q * lam) @ V.T
+        op, trace = DenseOperator(A), np.trace(A)
+    nuclear = np.abs(lam).sum()
     slopes = {}
     for i, name in enumerate(("hutchinson", "hutch_pp", "na_hutch_pp")):
         medians = [
@@ -449,8 +464,66 @@ def test_error_rates_on_an_indefinite_matrix(c):
         ]
         slopes[name] = np.polyfit(np.log(budgets), np.log(medians), 1)[0]
     assert slopes["hutch_pp"] <= -0.80, slopes
-    assert slopes["na_hutch_pp"] <= -0.80, slopes
+    if symmetric:
+        assert slopes["na_hutch_pp"] <= -0.80, slopes
     assert -0.70 <= slopes["hutchinson"] <= -0.30, slopes
+
+
+# ------------------------------------------------------- exact unbiasedness
+
+
+def _enumerated_mean(monkeypatch, A, name, m, fixed_blocks):
+    """The mean of estimator `name` at budget m over all 2^d sign vectors of
+    its last probe column, every earlier probe block drawn from a fixed seed."""
+    d = A.shape[0]
+    op, values = DenseOperator(A), []
+    for signs in itertools.product([-1.0, 1.0], repeat=d):
+        calls = []
+
+        def fixed_then_signs(rows, k, distribution, rng):
+            calls.append(k)
+            if len(calls) <= fixed_blocks:
+                return sample_probes(rows, k, distribution, len(calls))
+            assert (rows, k) == (d, 1)
+            return ProbeMatrix(np.array(signs)[:, None])
+
+        monkeypatch.setattr(estimators, "sample_probes", fixed_then_signs)
+        values.append(run_estimator(op, name, m, rng=0).value)
+        assert len(calls) == fixed_blocks + 1
+    return np.mean(values)
+
+
+def _enumeration_matrices():
+    rng = np.random.default_rng(40)
+    B = rng.standard_normal((8, 8))
+    return {"symmetric-indefinite": (B + B.T) / 2, "nonsymmetric": rng.standard_normal((8, 8))}
+
+
+@pytest.mark.parametrize("matrix", ["symmetric-indefinite", "nonsymmetric"])
+@pytest.mark.parametrize("name, m, fixed_blocks", [
+    ("hutchinson", 1, 0),  # the one probe column
+    ("hutch_pp", 3, 1),  # S, then the residual column
+    ("hutch_pp_gauss", 3, 1),  # Gaussian S, then the residual column
+    ("na_hutch_pp", 4, 2),  # S and R, then the residual column G
+])
+def test_unbiased_estimators_are_exact_over_every_sign_vector(
+    monkeypatch, matrix, name, m, fixed_blocks
+):
+    # Conditional on the fixed blocks, the mean over all 2^d Rademacher
+    # residual columns is the exact expectation, so an unbiased estimator's
+    # mean is the trace to rounding, not to sampling error.
+    A = _enumeration_matrices()[matrix]
+    mean = _enumerated_mean(monkeypatch, A, name, m, fixed_blocks)
+    assert abs(mean - np.trace(A)) <= 1e-12 * np.linalg.norm(A), (mean, np.trace(A))
+
+
+@pytest.mark.parametrize("matrix", ["symmetric-indefinite", "nonsymmetric"])
+def test_subspace_projection_is_biased_over_every_sign_vector(monkeypatch, matrix):
+    # One sketch column cannot capture a full-rank 8 x 8 matrix: the mean of
+    # trace(Q^T A Q) over every sketch column is not the trace.
+    A = _enumeration_matrices()[matrix]
+    mean = _enumerated_mean(monkeypatch, A, "subspace_projection", 2, 0)
+    assert abs(mean - np.trace(A)) > 0.1 * np.linalg.norm(A), (mean, np.trace(A))
 
 
 # ------------------------------------------------------------------ registry

@@ -233,8 +233,9 @@ def test_parse_errors_name_the_reference_line(text):
         _reference_parse(text)
     with pytest.raises(EdgeListParseError) as got:
         parse_edge_list(text)
-    line = re.compile(r"line (\d+):")
-    assert line.match(str(got.value))[1] == line.match(str(want.value))[1]
+    lineno = int(re.match(r"line (\d+):", str(want.value))[1])
+    bad = text.splitlines()[lineno - 1]
+    assert str(got.value) == f"line {lineno}: expected two integer node ids, got {bad!r}"
 
 
 def test_load_edge_list_file(tmp_path):
@@ -266,6 +267,61 @@ def test_load_edge_list_names_its_file_in_a_parse_fault(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@st.composite
+def _edge_list_file_text(draw) -> str:
+    # Good and malformed texts, some with a bare CR inserted anywhere.
+    text = draw(_edge_list_text(malformed=draw(st.booleans())))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\r" + text[at:]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_list_file_text())
+@example("0 1\r1 2\n")
+@example("# note\r0 5\n1 2\n")
+def test_load_edge_list_parses_a_file_as_its_text(tmp_path_factory, text):
+    p = tmp_path_factory.getbasetemp() / "edges.txt"
+    p.write_bytes(text.encode("utf-8"))
+    try:
+        want = parse_edge_list(text)
+    except EdgeListParseError as err:
+        with pytest.raises(EdgeListParseError) as got:
+            load_edge_list(p)
+        assert str(got.value) == f"{p}: {err}"
+        return
+    got = load_edge_list(p)
+    assert (got.node_count, got.self_loops_dropped) == (want.node_count, want.self_loops_dropped)
+    np.testing.assert_array_equal(got.edges, want.edges)
+
+
+def test_load_edge_list_refuses_a_bare_cr_and_reads_crlf(tmp_path):
+    p = tmp_path / "g.txt"
+    for data, line in [(b"0 1\r1 2\n", "0 1\r1 2"), (b"# note\r0 5\n1 2\n", "# note\r0 5")]:
+        p.write_bytes(data)
+        message = f"{p}: line 1: expected two integer node ids, got {line!r}"
+        with pytest.raises(EdgeListParseError, match=f"^{re.escape(message)}$"):
+            load_edge_list(p)
+    p.write_bytes(b"# header\r\n5 6\r\n6 7\r\n")
+    assert load_edge_list(p).edges.tolist() == [[0, 1], [1, 2]]
+
+
+def test_parse_edge_list_reads_a_good_text_once(monkeypatch):
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        calls.append(args)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    for text in ["# h\n0 1\r\n1 2\n", "", "3 3\n"]:
+        calls.clear()
+        parse_edge_list(text)
+        assert len(calls) == 1, text
 
 
 # Loads a point file and an edge list in an interpreter whose locale

@@ -7,7 +7,7 @@ import scipy.linalg
 from tracekit import linop
 from tracekit.estimators import exact_trace, hutchinson
 from tracekit.graph import AdjacencyOperator, Graph
-from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator
+from tracekit.linop import DenseOperator, DiagonalOperator
 from tracekit.matfunc import (
     LanczosFunctionOperator,
     PowerOperator,
@@ -16,7 +16,7 @@ from tracekit.matfunc import (
     shifted_log_operator,
 )
 
-from oracles import RecordingOperator
+from oracles import NanOperator, RecordingOperator
 
 
 def _sym(d, seed, scale=1.0):
@@ -346,11 +346,6 @@ def test_power_operator_trace_of_cube_oracle():
     assert exact_trace(outer).value == 6.0
 
 
-class _NanOperator(LinearOperator):
-    def _apply_block(self, X):
-        return np.full(X.shape, np.nan)
-
-
 def test_wrappers_pass_on_checked_inner_output(monkeypatch):
     # Every query checks its own input and its own output, so a wrapper
     # checks what its inner operator already checked; a nan raises first at
@@ -372,8 +367,8 @@ def test_wrappers_pass_on_checked_inner_output(monkeypatch):
     checked.clear()
     recording.matvec(np.ones(6))
     assert checked == ["RecordingOperator input", *inner, "RecordingOperator output"]
-    for wrapped in (PowerOperator(_NanOperator(4), 3), RecordingOperator(_NanOperator(4))):
-        with pytest.raises(ValueError, match="_NanOperator output contains non-finite"):
+    for wrapped in (PowerOperator(NanOperator(4), 3), RecordingOperator(NanOperator(4))):
+        with pytest.raises(ValueError, match="NanOperator output contains non-finite"):
             wrapped.matmat(np.ones((4, 1)))
 
 

@@ -1,4 +1,4 @@
-"""The package namespace (each public name declared once), four lints, and
+"""The package namespace (each public name declared once), five lints, and
 the package names the benchmark's tracer reads."""
 
 import ast
@@ -109,6 +109,61 @@ def test_no_module_level_import_goes_unused():
         if (names := _unused_imports(path.read_text()))
     }
     assert not offenders, offenders
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Each module-level private name that no module of ``sources`` reads.
+
+    ``sources`` maps a dotted module name to its text.  A top-level
+    ``_name = ...``, ``def _name`` or ``class _Name`` is read by a load in its
+    own module or by a ``from <its module> import _name`` in any of them.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {
+        (stmt.module, alias.name)
+        for tree in trees.values()
+        for stmt in ast.walk(tree)
+        if isinstance(stmt, ast.ImportFrom)
+        for alias in stmt.names
+    }
+    found = []
+    for module, tree in trees.items():
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if (name.startswith("_") and not name.startswith("__")
+                        and name not in read and (module, name) not in imported):
+                    found.append(f"{module} line {stmt.lineno}: {name}")
+    return found
+
+
+def test_no_module_level_private_name_goes_unread():
+    # A leftover helper or constant (say, a regex after its parser goes) fails.
+    assert _unread_private_names({"m": "_X = 1\n"}) == ["m line 1: _X"]
+    assert _unread_private_names({"m": "_a, _b = 1, 2\n_a\n"}) == ["m line 1: _b"]
+    assert _unread_private_names({"m": "def _f():\n    pass\n"}) == ["m line 1: _f"]
+    assert _unread_private_names({"m": "class _C:\n    pass\n"}) == ["m line 1: _C"]
+    assert _unread_private_names({"m": "_X = 1\n", "n": "from o import _X\n"})
+    assert not _unread_private_names({"m": "_X: int = 1\nprint(_X)\n"})
+    assert not _unread_private_names({"m": "_X = 1\n", "n": "from m import _X\n"})
+    assert not _unread_private_names({"m": "__version__ = '1'\nX = 1\n"})
+    package = Path(tracekit.__file__).parent
+    sources = {
+        "tracekit" if path.stem == "__init__" else f"tracekit.{path.stem}": path.read_text()
+        for path in sorted(package.glob("*.py"))
+    }
+    unread = _unread_private_names(sources)
+    assert not unread, unread
 
 
 def _redefined_base_attributes(cls: type) -> set[str]:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +141,49 @@ class LinearOperator:
 
 
 _PANEL = 64
+# d*d*k multiply-adds from which matvec splits into row bands.  At one BLAS
+# thread and d = 1000 a one-vector query takes about 300 us in one band and
+# 400-440 us split, while at k = 3 the split wins (480 against 570 us).
+_SPLIT_MIN = 2**21
+# (pid, workers, ThreadPoolExecutor or None).  Two threads' first splits may
+# each make a pool; the one not kept ends once its bands are done.
+_pool = (None, 0, None)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _band_pool():
+    """This process's band workers, one fewer than its CPUs, made at first use.
+
+    A forked child makes its own: the parent's threads do not run in it.
+    """
+    global _pool
+    pid, workers, pool = _pool
+    if pid != os.getpid():
+        workers = _cpu_count() - 1
+        pool = ThreadPoolExecutor(workers) if workers else None
+        _pool = os.getpid(), workers, pool
+    return workers, pool
+
+
+def _panel_gemvs(A, Xt, Y):
+    """Y = one GEMV per (64-row panel of A, vector of Xt), all numpy.
+
+    The last call takes 64 to 127 rows (or all of fewer than 64): a one-row
+    call would be a dot product, which rounds differently from a GEMV.
+    """
+    P = max(A.shape[0] // _PANEL - 1, 0)
+    h = P * _PANEL
+    # A C-order (P, k) result makes numpy loop over the vectors inside
+    # the loop over panels, so each panel is read from memory once.
+    head = A[:h].reshape(P, 1, _PANEL, A.shape[1]) @ Xt
+    Y[:, :h] = head.transpose(1, 0, 2, 3).reshape(len(Y), h)
+    np.matmul(A[h:], Xt, out=Y[:, h:, None])
 
 
 class DenseOperator(LinearOperator):
@@ -147,10 +192,18 @@ class DenseOperator(LinearOperator):
 
     ``matmat`` is one GEMM.  ``matvec`` runs one GEMV per (64-row panel,
     vector), so a panel stays in cache while every vector of the block
-    passes it.  A panel's height is a multiple of 4, so each row's dot
-    product is the one a full GEMV computes (OpenBLAS's GEMV kernel takes
-    rows four at a time): a column of the block is bit-identical to its
-    one-vector query and to the full GEMV.
+    passes it; a column of the block is bit-identical to its one-vector
+    query, which runs the same panels.  A panel's height is a multiple of
+    4, so at one BLAS thread each row's dot product is the one the full
+    GEMV ``A @ x`` computes (OpenBLAS's GEMV kernel takes rows four at a
+    time); a threaded BLAS splits the full GEMV at other rows, and at two
+    threads 3 rows differ at d = 1130 (none at d = 1000).
+
+    From ``d*d*k >= 2**21`` multiply-adds, ``matvec`` runs the panels as
+    contiguous row bands, at most one per CPU the process may use: the
+    calling thread runs the first, a thread pool of one fewer threads the
+    others, and the last band keeps the tail panel.  Every row keeps its
+    GEMV call, so the bytes do not depend on the CPU count.
     """
 
     def __init__(self, matrix: ArrayLike):
@@ -165,18 +218,25 @@ class DenseOperator(LinearOperator):
         return self.matrix @ X
 
     def _apply_vec(self, X):
-        # The last call takes 64 to 127 rows (or all d < 64): a one-row call
-        # would be a dot product, which rounds differently from a GEMV.
         d, k = X.shape
-        P = max(d // _PANEL - 1, 0)
-        h = P * _PANEL
         A, Xt = self.matrix, X.T[:, :, None]  # k vectors, each d x 1
         Y = np.empty((k, d))  # row i is vector i's product
-        # A C-order (P, k) result makes numpy loop over the vectors inside
-        # the loop over panels, so each panel is read from memory once.
-        head = A[:h].reshape(P, 1, _PANEL, d) @ Xt
-        Y[:, :h] = head.transpose(1, 0, 2, 3).reshape(k, h)
-        np.matmul(A[h:], Xt, out=Y[:, h:, None])
+        workers, pool = _band_pool() if d * d * k >= _SPLIT_MIN else (0, None)
+        panels = max(d // _PANEL, 1)  # the tail counts as one
+        rows = -(-panels // (workers + 1)) * _PANEL  # per band but the last
+        starts = range(0, (panels - 1) * _PANEL + 1, rows)
+        bands = [slice(a, a + rows) for a in starts[:-1]] + [slice(starts[-1], d)]
+        # Workers only run numpy on their band's slices: the query is
+        # counted, checked and traced on the calling thread alone.
+        futures = []
+        try:
+            for band in bands[1:]:
+                futures.append(pool.submit(_panel_gemvs, A[band], Xt, Y[:, band]))
+            _panel_gemvs(A[bands[0]], Xt, Y[:, bands[0]])
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()
         return Y.T
 
 

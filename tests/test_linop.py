@@ -1,5 +1,8 @@
 """Operator plumbing: apply contracts, query accounting, QR/pinv/reference oracles."""
 
+import multiprocessing
+import os
+import sys
 import threading
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracekit import linop
 from tracekit.graph import AdjacencyOperator, Graph
 from tracekit.linop import (
     DenseOperator,
@@ -18,7 +22,7 @@ from tracekit.linop import (
 )
 from tracekit.matfunc import PowerOperator, exp_operator, shifted_log_operator
 
-from oracles import DenseReference, RecordingOperator
+from oracles import DenseReference, RecordingOperator, perfbench_module
 
 
 # ---------------------------------------------------------------- matvec/matmat
@@ -125,12 +129,14 @@ def test_matvec_is_the_one_column_matmat_of_every_operator(name):
     assert Y.shape == (12, 3) and not Y[:, 1].any()
 
 
-@pytest.mark.parametrize("d", [1, 3, 64, 67, 200])
+@pytest.mark.parametrize("d", [1, 3, 64, 67, 200, 1000, 1130])
 def test_dense_matvec_on_a_block_is_its_one_vector_gemvs_bitwise(d):
     # matvec runs a block through 64-row panels; each column must be the
     # bits of its one-vector call, and that call the bits of the full GEMV,
     # whatever layout the block comes in.  A BLAS whose GEMV rounds a row
-    # differently by panel height fails here.
+    # differently by panel height fails here.  At d >= 1000 the 9-column
+    # block is past linop._SPLIT_MIN, so on a multi-CPU machine it runs in
+    # row bands.
     rng = np.random.default_rng(d)
     A = rng.standard_normal((d, d))
     op = DenseOperator(A)
@@ -144,6 +150,114 @@ def test_dense_matvec_on_a_block_is_its_one_vector_gemvs_bitwise(d):
             Y = op.matvec(block)
             assert op.query_count - before == k
             assert Y.shape == (d, k) and Y.tobytes() == stacked.tobytes(), k
+
+
+@pytest.fixture
+def band_workers(monkeypatch):
+    """force(n): a fresh band pool of n threads, whatever the machine's
+    CPUs, shut down after the test."""
+
+    def force(workers):
+        monkeypatch.setattr(linop, "_cpu_count", lambda: workers + 1)
+        monkeypatch.setattr(linop, "_pool", (None, 0, None))
+
+    yield force
+    if linop._pool[2] is not None:
+        linop._pool[2].shutdown()
+
+
+@pytest.mark.parametrize(
+    "d, rows",
+    [(880, [256, 256, 256, 112]), (1130, [320, 320, 320, 170])],
+    ids=["880", "1130"],
+)
+def test_dense_matvec_in_uneven_bands_is_its_one_vector_gemvs_bitwise(
+    d, rows, band_workers, monkeypatch
+):
+    # Three workers make four bands: at d = 880 the last band is the tail
+    # panel alone, at d = 1130 it is shorter than the others.
+    band_workers(3)
+    ran = []
+    gemvs = linop._panel_gemvs
+
+    def recording(A, Xt, Y):
+        ran.append((A.shape[0], threading.get_ident()))
+        gemvs(A, Xt, Y)
+
+    monkeypatch.setattr(linop, "_panel_gemvs", recording)
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((d, d))
+    op = DenseOperator(A)
+    X = rng.standard_normal((d, 8))
+    stacked = np.column_stack([op.matvec(X[:, i]) for i in range(8)])
+    assert [r for r, _ in ran] == [d] * 8  # below the split: one band
+    for block in (X, np.asfortranarray(X)):
+        ran.clear()
+        before = op.query_count
+        Y = op.matvec(block)
+        assert op.query_count - before == 8
+        assert Y.shape == (d, 8) and Y.tobytes() == stacked.tobytes()
+        assert sorted(r for r, _ in ran) == sorted(rows)
+        on_caller = [r for r, thread in ran if thread == threading.get_ident()]
+        assert on_caller == rows[:1]
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+def test_a_forked_child_runs_split_queries_on_its_own_pool(band_workers):
+    # The parent's pool has a live thread when the child is forked; the
+    # child must not queue its bands on that thread's copy, which never runs.
+    band_workers(1)
+    rng = np.random.default_rng(2)
+    op = DenseOperator(rng.standard_normal((1000, 1000)))
+    X = rng.standard_normal((1000, 4))
+    Y = op.matvec(X)
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+
+    def child():
+        writer.send((op.matvec(X).tobytes(), linop._pool[0] == os.getpid()))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        assert reader.poll(30), "the forked child's split matvec did not return"
+        got, own_pool = reader.recv()
+    finally:
+        proc.kill()
+        proc.join()
+    assert own_pool and got == Y.tobytes()
+
+
+def test_split_queries_keep_the_tracers_spans_nested(band_workers):
+    # perfbench's tracer nests spans through one stack; band workers run
+    # only numpy, so every span opens and closes on the calling thread.
+    band_workers(1)
+    tracing = perfbench_module("tracing")
+    rng = np.random.default_rng(4)
+    G = rng.standard_normal((1000, 1000))
+    inner = DenseOperator(G @ G.T / 1000)
+    steps = 20
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        shifted_log_operator(inner, 0.1, steps).matvec(rng.standard_normal((1000, 8)))
+    finally:
+        tracer.uninstall()
+    spans = tracer.take()
+    for span in spans:
+        assert span.t0 <= span.t1, span.name
+        if span.parent >= 0:
+            parent = spans[span.parent]
+            assert parent.t0 <= span.t0 and span.t1 <= parent.t1, span.name
+    kernels = [i for i, s in enumerate(spans) if s.name == "linop.DenseOperator._apply_vec"]
+    assert inner.query_count == 8 * steps  # no column broke down
+    assert len(kernels) == steps
+    for i in kernels:
+        assert spans[i].info[0] == 8
+        assert spans[spans[i].parent].name == "linop.LinearOperator.matvec"
+    assert not {s.parent for s in spans} & set(kernels)  # no traced call inside
 
 
 def test_dense_and_diagonal_operators_reject_malformed_arrays():
@@ -182,6 +296,35 @@ def test_query_count_thread_safe():
     for t in threads:
         t.join()
     assert op.query_count == 8 * 50
+
+
+def test_split_queries_from_many_threads_keep_their_bytes_and_count(band_workers):
+    # Eight callers share three band workers; a short switch interval makes
+    # their submits, bands and joins interleave as often as it can.
+    band_workers(3)
+    rng = np.random.default_rng(8)
+    op = DenseOperator(rng.standard_normal((1000, 1000)))
+    X = rng.standard_normal((1000, 4))
+    expected = np.column_stack([op.matvec(x) for x in X.T]).tobytes()
+    results = []
+
+    def caller():
+        for _ in range(20):
+            results.append(op.matvec(X).tobytes())
+
+    threads = [threading.Thread(target=caller) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 * 20 and set(results) == {expected}
+    assert op.query_count == 4 + 8 * 20 * 4
 
 
 def test_recording_operator_captures_blocks():

@@ -141,10 +141,11 @@ class LinearOperator:
 
 
 _PANEL = 64
-# d*d*k multiply-adds from which matvec splits into row bands.  At one BLAS
-# thread and d = 1000 a one-vector query takes about 300 us in one band and
-# 400-440 us split, while at k = 3 the split wins (480 against 570 us).
-_SPLIT_MIN = 2**21
+# Multiply-adds (d*d*k for a dense matvec, nnz*k for a sparse product) from
+# which a query runs in row bands.  A split's handoff costs about 40 us: at
+# one BLAS thread on 2 CPUs, a dense one-vector query at d = 1000 (1M) took
+# 308 us in one band and 507 us split, two vectors (2M) 531 against 434 us.
+_SPLIT_MIN = 3 * 2**19
 # (pid, workers, ThreadPoolExecutor or None).  Two threads' first splits may
 # each make a pool; the one not kept ends once its bands are done.
 _pool = (None, 0, None)
@@ -169,6 +170,29 @@ def _band_pool():
         pool = ThreadPoolExecutor(workers) if workers else None
         _pool = os.getpid(), workers, pool
     return workers, pool
+
+
+def _run_bands(cuts, band):
+    """Run ``band(a, b)`` on each row band [a, b) between consecutive edges
+    of ``cuts(n)``, which splits the rows into at most n bands, n being the
+    CPUs the process may use.
+
+    The calling thread runs the first band and the band pool the others.
+    Returns when every band is done, and raises the first fault among them.
+    A band should run only numpy or scipy kernels on its own rows, so that
+    the query is counted, checked and traced on the calling thread alone.
+    """
+    workers, pool = _band_pool()
+    edges = cuts(workers + 1)
+    futures = []
+    try:
+        for a, b in zip(edges[1:-1], edges[2:]):
+            futures.append(pool.submit(band, a, b))
+        band(edges[0], edges[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _panel_gemvs(A, Xt, Y):
@@ -199,8 +223,8 @@ class DenseOperator(LinearOperator):
     time); a threaded BLAS splits the full GEMV at other rows, and at two
     threads 3 rows differ at d = 1130 (none at d = 1000).
 
-    From ``d*d*k >= 2**21`` multiply-adds, ``matvec`` runs the panels as
-    contiguous row bands, at most one per CPU the process may use: the
+    From ``d*d*k >= 3 * 2**19`` multiply-adds, ``matvec`` runs the panels
+    as contiguous row bands, at most one per CPU the process may use: the
     calling thread runs the first, a thread pool of one fewer threads the
     others, and the last band keeps the tail panel.  Every row keeps its
     GEMV call, so the bytes do not depend on the CPU count.
@@ -221,22 +245,16 @@ class DenseOperator(LinearOperator):
         d, k = X.shape
         A, Xt = self.matrix, X.T[:, :, None]  # k vectors, each d x 1
         Y = np.empty((k, d))  # row i is vector i's product
-        workers, pool = _band_pool() if d * d * k >= _SPLIT_MIN else (0, None)
+        if d * d * k < _SPLIT_MIN:
+            _panel_gemvs(A, Xt, Y)
+            return Y.T
         panels = max(d // _PANEL, 1)  # the tail counts as one
-        rows = -(-panels // (workers + 1)) * _PANEL  # per band but the last
-        starts = range(0, (panels - 1) * _PANEL + 1, rows)
-        bands = [slice(a, a + rows) for a in starts[:-1]] + [slice(starts[-1], d)]
-        # Workers only run numpy on their band's slices: the query is
-        # counted, checked and traced on the calling thread alone.
-        futures = []
-        try:
-            for band in bands[1:]:
-                futures.append(pool.submit(_panel_gemvs, A[band], Xt, Y[:, band]))
-            _panel_gemvs(A[bands[0]], Xt, Y[:, bands[0]])
-        finally:
-            wait(futures)
-        for future in futures:
-            future.result()
+
+        def cuts(n):
+            rows = -(-panels // n) * _PANEL  # per band but the last
+            return [*range(0, (panels - 1) * _PANEL + 1, rows), d]
+
+        _run_bands(cuts, lambda a, b: _panel_gemvs(A[a:b], Xt, Y[:, a:b]))
         return Y.T
 
 

@@ -5,8 +5,11 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracekit
+from tracekit import graph, linop
 from tracekit.cli import main
 from tracekit.estimators import exact_trace
 from tracekit.graph import (
@@ -420,6 +424,103 @@ def test_graph_rejects_edges_its_adjacency_cannot_hold():
     for empty in ((), [], np.empty((0, 2), dtype=np.int64)):
         g = Graph(node_count=0, edges=empty)
         assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+
+
+def _triangles_graph() -> Graph:
+    """graph_triangles' graph at seed 3: 4,000 nodes, 190,538 stored entries."""
+    edges, _ = perfbench_module("graphgen").geometric_edges(4000, 50.0, 3)
+    return Graph(node_count=4000, edges=edges)
+
+
+def _hub_graph() -> Graph:
+    """Node 100 links to nodes 101-4100; nodes 0-99 and 4101-4499 are isolated.
+
+    The hub's row holds half the 8,000 stored entries, so the entry-balanced
+    cuts give it a band of its own and, at four bands, an empty band after
+    it.
+    """
+    leaves = np.arange(101, 4101)
+    return Graph(node_count=4500, edges=np.stack([np.full_like(leaves, 100), leaves], 1))
+
+
+def _int64_csr(A: scipy.sparse.csr_matrix) -> scipy.sparse.csr_matrix:
+    """A with int64 index arrays, which scipy's constructor would narrow."""
+    B = A.copy()
+    B.indptr, B.indices = A.indptr.astype(np.int64), A.indices.astype(np.int64)
+    return B
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_adjacency_products_in_bands_are_its_csr_products_bitwise(
+    workers, band_workers, monkeypatch
+):
+    # From nnz*k >= linop._SPLIT_MIN a query runs one band per CPU, each a
+    # csr_matvecs call on its rows; below it, the query is A @ X itself.
+    # Every column count, layout, index width and query kind must give the
+    # bytes of A @ X, and the count must rise by k.
+    band_workers(workers)
+    ran = []
+    kernel = graph._sparsetools.csr_matvecs
+
+    def recording(rows, cols, k, indptr, *args):
+        # (the band's first stored entry, its rows, the thread running it)
+        ran.append((int(indptr[0]), int(rows), threading.get_ident()))
+        kernel(rows, cols, k, indptr, *args)
+
+    monkeypatch.setattr(graph, "_sparsetools", SimpleNamespace(csr_matvecs=recording))
+    rng = np.random.default_rng(workers)
+    hub_bands = {1: [101, 4399], 2: [101, 1333, 3066], 3: [101, 0, 2000, 2399]}
+    for g, bands in ((_triangles_graph(), None), (_hub_graph(), hub_bands[workers])):
+        op = AdjacencyOperator(g)
+        for matrix in (g.adjacency, _int64_csr(g.adjacency)):
+            op.matrix = matrix
+            for k in (1, 8, 9, 10, 240):
+                X = rng.standard_normal((g.node_count, k))
+                expected = (g.adjacency @ X).tobytes()
+                split = matrix.nnz * k >= linop._SPLIT_MIN
+                for block in (X, np.asfortranarray(X)):
+                    for query in (op.matmat, op.matvec):
+                        ran.clear()
+                        before = op.query_count
+                        assert query(block).tobytes() == expected, (k, query)
+                        assert op.query_count - before == k
+                        assert len(ran) == (workers + 1 if split else 0), k
+                        assert sum(rows for _, rows, _ in ran) == (g.node_count if split else 0)
+                        if split:
+                            mine = [s for s, _, t in ran if t == threading.get_ident()]
+                            assert mine == [0]  # the caller runs the first band
+                            assert bands is None or [r for _, r, _ in sorted(ran)] == bands
+    # graph_triangles' B^3 query is three chained products, each split.
+    g = _triangles_graph()
+    A, X = g.adjacency, rng.standard_normal((4000, 10))
+    ran.clear()
+    Y = PowerOperator(AdjacencyOperator(g), 3).matmat(X)
+    assert len(ran) == 3 * (workers + 1)
+    assert Y.tobytes() == (A @ (A @ (A @ X))).tobytes()
+
+
+def test_a_banded_adjacency_product_holds_one_result(band_workers):
+    # The bands share the one CSR and write their rows of one result, so a
+    # split query's peak is A @ X's: the contiguous copy of the block and
+    # the result.  Per-band CSR slices and results stacked afterwards hold
+    # the result twice.
+    band_workers(1)
+    op = AdjacencyOperator(_triangles_graph())
+    X = np.asfortranarray(np.random.default_rng(5).standard_normal((4000, 240)))
+    assert op.matrix.nnz * 240 >= linop._SPLIT_MIN
+    op.matmat(X)  # the band pool is made outside the measured call
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    banded = peak(lambda: op._apply_block(X))
+    plain = peak(lambda: np.asarray(op.matrix @ X))
+    assert banded <= 1.1 * plain, (banded, plain)
 
 
 # ------------------------------------------------------------------- triangles

@@ -152,20 +152,6 @@ def test_dense_matvec_on_a_block_is_its_one_vector_gemvs_bitwise(d):
             assert Y.shape == (d, k) and Y.tobytes() == stacked.tobytes(), k
 
 
-@pytest.fixture
-def band_workers(monkeypatch):
-    """force(n): a fresh band pool of n threads, whatever the machine's
-    CPUs, shut down after the test."""
-
-    def force(workers):
-        monkeypatch.setattr(linop, "_cpu_count", lambda: workers + 1)
-        monkeypatch.setattr(linop, "_pool", (None, 0, None))
-
-    yield force
-    if linop._pool[2] is not None:
-        linop._pool[2].shutdown()
-
-
 @pytest.mark.parametrize(
     "d, rows",
     [(880, [256, 256, 256, 112]), (1130, [320, 320, 320, 170])],
@@ -202,17 +188,35 @@ def test_dense_matvec_in_uneven_bands_is_its_one_vector_gemvs_bitwise(
         assert on_caller == rows[:1]
 
 
+def _dense_split_case():
+    rng = np.random.default_rng(2)
+    op = DenseOperator(rng.standard_normal((1000, 1000)))
+    X = rng.standard_normal((1000, 4))  # 4M multiply-adds, past the split
+    # Each one-vector query is below the split, so runs in one band.
+    return op, X, np.column_stack([op.matvec(x) for x in X.T])
+
+
+def _adjacency_split_case():
+    # graph_triangles' graph: 190,538 stored entries, so 10 columns split.
+    edges, _ = perfbench_module("graphgen").geometric_edges(4000, 50.0, 3)
+    op = AdjacencyOperator(Graph(node_count=4000, edges=edges))
+    X = np.random.default_rng(2).standard_normal((4000, 10))
+    return op, X, op.matrix @ X
+
+
+SPLIT_CASES = {"dense": _dense_split_case, "adjacency": _adjacency_split_case}
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
 )
-def test_a_forked_child_runs_split_queries_on_its_own_pool(band_workers):
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_a_forked_child_runs_split_queries_on_its_own_pool(band_workers, case):
     # The parent's pool has a live thread when the child is forked; the
     # child must not queue its bands on that thread's copy, which never runs.
     band_workers(1)
-    rng = np.random.default_rng(2)
-    op = DenseOperator(rng.standard_normal((1000, 1000)))
-    X = rng.standard_normal((1000, 4))
-    Y = op.matvec(X)
+    op, X, expected = SPLIT_CASES[case]()
+    assert op.matvec(X).tobytes() == expected.tobytes()
     ctx = multiprocessing.get_context("fork")
     reader, writer = ctx.Pipe(duplex=False)
 
@@ -227,22 +231,39 @@ def test_a_forked_child_runs_split_queries_on_its_own_pool(band_workers):
     finally:
         proc.kill()
         proc.join()
-    assert own_pool and got == Y.tobytes()
+    assert own_pool and got == expected.tobytes()
 
 
-def test_split_queries_keep_the_tracers_spans_nested(band_workers):
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_queries_keep_the_tracers_spans_nested(band_workers, case):
     # perfbench's tracer nests spans through one stack; band workers run
-    # only numpy, so every span opens and closes on the calling thread.
+    # only numpy and scipy, so every span opens and closes on the calling
+    # thread.  The dense kernel runs inside Lanczos's lockstep queries, the
+    # adjacency kernel inside a B^3 query's three products.
     band_workers(1)
     tracing = perfbench_module("tracing")
-    rng = np.random.default_rng(4)
-    G = rng.standard_normal((1000, 1000))
-    inner = DenseOperator(G @ G.T / 1000)
-    steps = 20
+    if case == "dense":
+        rng = np.random.default_rng(4)
+        G = rng.standard_normal((1000, 1000))
+        inner = DenseOperator(G @ G.T / 1000)
+        X = rng.standard_normal((1000, 8))
+        steps = 20
+        query = shifted_log_operator(inner, 0.1, steps)
+        kernel, chain = "linop.DenseOperator._apply_vec", ["linop.LinearOperator.matvec"]
+    else:
+        inner, X, _ = _adjacency_split_case()
+        steps, query = 3, PowerOperator(inner, 3)
+        kernel = "graph.AdjacencyOperator._apply_block"
+        chain = [
+            "linop.LinearOperator._apply_vec",
+            "linop.LinearOperator.matvec",
+            "matfunc.PowerOperator._apply_block",
+        ]
+    k = X.shape[1]
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        shifted_log_operator(inner, 0.1, steps).matvec(rng.standard_normal((1000, 8)))
+        query.matvec(X)
     finally:
         tracer.uninstall()
     spans = tracer.take()
@@ -251,12 +272,15 @@ def test_split_queries_keep_the_tracers_spans_nested(band_workers):
         if span.parent >= 0:
             parent = spans[span.parent]
             assert parent.t0 <= span.t0 and span.t1 <= parent.t1, span.name
-    kernels = [i for i, s in enumerate(spans) if s.name == "linop.DenseOperator._apply_vec"]
-    assert inner.query_count == 8 * steps  # no column broke down
+    kernels = [i for i, s in enumerate(spans) if s.name == kernel]
+    assert inner.query_count == k * steps  # no column broke down
     assert len(kernels) == steps
     for i in kernels:
-        assert spans[i].info[0] == 8
-        assert spans[spans[i].parent].name == "linop.LinearOperator.matvec"
+        assert spans[i].info[0] == k
+        up = spans[i].parent
+        for name in chain:
+            assert spans[up].name == name
+            up = spans[up].parent
     assert not {s.parent for s in spans} & set(kernels)  # no traced call inside
 
 
@@ -298,14 +322,13 @@ def test_query_count_thread_safe():
     assert op.query_count == 8 * 50
 
 
-def test_split_queries_from_many_threads_keep_their_bytes_and_count(band_workers):
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_queries_from_many_threads_keep_their_bytes_and_count(band_workers, case):
     # Eight callers share three band workers; a short switch interval makes
     # their submits, bands and joins interleave as often as it can.
     band_workers(3)
-    rng = np.random.default_rng(8)
-    op = DenseOperator(rng.standard_normal((1000, 1000)))
-    X = rng.standard_normal((1000, 4))
-    expected = np.column_stack([op.matvec(x) for x in X.T]).tobytes()
+    op, X, expected = SPLIT_CASES[case]()
+    before = op.query_count
     results = []
 
     def caller():
@@ -323,8 +346,8 @@ def test_split_queries_from_many_threads_keep_their_bytes_and_count(band_workers
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(results) == 8 * 20 and set(results) == {expected}
-    assert op.query_count == 4 + 8 * 20 * 4
+    assert len(results) == 8 * 20 and set(results) == {expected.tobytes()}
+    assert op.query_count == before + 8 * 20 * X.shape[1]
 
 
 def test_recording_operator_captures_blocks():

@@ -14,7 +14,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse import _sparsetools
 
-from tracekit.linop import _SPLIT_MIN, LinearOperator, _run_bands, _size
+from tracekit.linop import LinearOperator, _run_bands, _size
 
 __all__ = [
     "Graph",
@@ -188,15 +188,12 @@ def load_edge_list(path) -> Graph:
 class AdjacencyOperator(LinearOperator):
     """Symmetric 0/1 adjacency matvec in O(|E|) per query (the graph's CSR).
 
-    From ``nnz*k >= 3 * 2**19`` multiply-adds, the dense matvec's split rule,
-    a k-column query runs as contiguous row bands on the same band pool, one
-    per CPU the process may use, cut where they hold equal shares of the
-    stored entries (a band may hold no rows).  Each band runs scipy's kernel
-    for ``A @ X`` on its rows of the one CSR, whose arrays it shares, into
-    its rows of one result; a row sums in the order ``A @ X`` sums it, so
-    the bytes do not depend on the CPU count.  Below the split a query is
-    ``A @ X`` itself: a split's handoff costs more than it saves there, and
-    for one column scipy takes a one-vector kernel about twice as fast.
+    A k-column query is nnz*k multiply-adds to ``_run_bands``, cut where
+    the bands hold equal shares of the stored entries (a band may hold no
+    rows).  Each band runs scipy's block kernel for ``A @ X`` on its rows of
+    the one CSR, whose arrays it shares, into its rows of one result; a row
+    sums in the order ``A @ X`` sums it, so the bytes do not depend on the
+    CPU count.
     """
 
     def __init__(self, graph: Graph):
@@ -206,8 +203,6 @@ class AdjacencyOperator(LinearOperator):
     def _apply_block(self, X):
         A, (d, k) = self.matrix, X.shape
         indptr, nnz = A.indptr, A.nnz
-        if nnz * k < _SPLIT_MIN:
-            return np.asarray(A @ X)
         x = np.ascontiguousarray(X).ravel()  # the one copy A @ X makes
         Y = np.zeros((d, k))  # the kernel adds A X into it
 
@@ -219,7 +214,7 @@ class AdjacencyOperator(LinearOperator):
                 b - a, d, k, indptr[a : b + 1], A.indices, A.data, x, Y[a:b].ravel()
             )
 
-        _run_bands(cuts, band)
+        _run_bands(nnz * k, d, cuts, band)
         return Y
 
 

@@ -142,9 +142,10 @@ class LinearOperator:
 
 _PANEL = 64
 # Multiply-adds (d*d*k for a dense matvec, nnz*k for a sparse product) from
-# which a query runs in row bands.  A split's handoff costs about 40 us: at
-# one BLAS thread on 2 CPUs, a dense one-vector query at d = 1000 (1M) took
-# 308 us in one band and 507 us split, two vectors (2M) 531 against 434 us.
+# which _run_bands, its one reader, splits a query into row bands.  A split's
+# handoff costs about 40 us: at one BLAS thread on 2 CPUs, a dense one-vector
+# query at d = 1000 (1M) took 308 us in one band and 507 us split, two
+# vectors (2M) 531 against 434 us.
 _SPLIT_MIN = 3 * 2**19
 # (pid, workers, ThreadPoolExecutor or None).  Two threads' first splits may
 # each make a pool; the one not kept ends once its bands are done.
@@ -172,16 +173,21 @@ def _band_pool():
     return workers, pool
 
 
-def _run_bands(cuts, band):
-    """Run ``band(a, b)`` on each row band [a, b) between consecutive edges
-    of ``cuts(n)``, which splits the rows into at most n bands, n being the
-    CPUs the process may use.
+def _run_bands(work, rows, cuts, band):
+    """Run ``band(a, b)`` on row bands [a, b) covering a query's ``rows`` rows.
 
-    The calling thread runs the first band and the band pool the others.
-    Returns when every band is done, and raises the first fault among them.
-    A band should run only numpy or scipy kernels on its own rows, so that
-    the query is counted, checked and traced on the calling thread alone.
+    Below ``_SPLIT_MIN`` multiply-adds of ``work``, the calling thread runs
+    ``band(0, rows)`` and no pool is made.  From it, the bands lie between
+    consecutive edges of ``cuts(n)``, which splits the rows into at most n
+    bands, n being the CPUs the process may use: the calling thread runs the
+    first band and the band pool the others.  Returns when every band is
+    done, and raises the first fault among them.  A band should run only
+    numpy or scipy kernels on its own rows, so that the query is counted,
+    checked and traced on the calling thread alone.
     """
+    if work < _SPLIT_MIN:
+        band(0, rows)
+        return
     workers, pool = _band_pool()
     edges = cuts(workers + 1)
     futures = []
@@ -223,11 +229,9 @@ class DenseOperator(LinearOperator):
     time); a threaded BLAS splits the full GEMV at other rows, and at two
     threads 3 rows differ at d = 1130 (none at d = 1000).
 
-    From ``d*d*k >= 3 * 2**19`` multiply-adds, ``matvec`` runs the panels
-    as contiguous row bands, at most one per CPU the process may use: the
-    calling thread runs the first, a thread pool of one fewer threads the
-    others, and the last band keeps the tail panel.  Every row keeps its
-    GEMV call, so the bytes do not depend on the CPU count.
+    ``matvec`` is d*d*k multiply-adds to ``_run_bands``, cut into bands of
+    whole panels, the last keeping the tail panel.  Every row keeps its GEMV
+    call, so the bytes do not depend on the CPU count.
     """
 
     def __init__(self, matrix: ArrayLike):
@@ -245,16 +249,13 @@ class DenseOperator(LinearOperator):
         d, k = X.shape
         A, Xt = self.matrix, X.T[:, :, None]  # k vectors, each d x 1
         Y = np.empty((k, d))  # row i is vector i's product
-        if d * d * k < _SPLIT_MIN:
-            _panel_gemvs(A, Xt, Y)
-            return Y.T
         panels = max(d // _PANEL, 1)  # the tail counts as one
 
         def cuts(n):
             rows = -(-panels // n) * _PANEL  # per band but the last
             return [*range(0, (panels - 1) * _PANEL + 1, rows), d]
 
-        _run_bands(cuts, lambda a, b: _panel_gemvs(A[a:b], Xt, Y[:, a:b]))
+        _run_bands(d * d * k, d, cuts, lambda a, b: _panel_gemvs(A[a:b], Xt, Y[:, a:b]))
         return Y.T
 
 

@@ -455,9 +455,10 @@ def test_adjacency_products_in_bands_are_its_csr_products_bitwise(
     workers, band_workers, monkeypatch
 ):
     # From nnz*k >= linop._SPLIT_MIN a query runs one band per CPU, each a
-    # csr_matvecs call on its rows; below it, the query is A @ X itself.
-    # Every column count, layout, index width and query kind must give the
-    # bytes of A @ X, and the count must rise by k.
+    # csr_matvecs call on its rows; below it, one csr_matvecs call on every
+    # row, on the calling thread.  Every column count, layout, index width
+    # and query kind must give the bytes of A @ X (at k = 1, of scipy's
+    # one-vector kernel), and the count must rise by k.
     band_workers(workers)
     ran = []
     kernel = graph._sparsetools.csr_matvecs
@@ -484,11 +485,11 @@ def test_adjacency_products_in_bands_are_its_csr_products_bitwise(
                         before = op.query_count
                         assert query(block).tobytes() == expected, (k, query)
                         assert op.query_count - before == k
-                        assert len(ran) == (workers + 1 if split else 0), k
-                        assert sum(rows for _, rows, _ in ran) == (g.node_count if split else 0)
+                        assert len(ran) == (workers + 1 if split else 1), k
+                        assert sum(rows for _, rows, _ in ran) == g.node_count
+                        mine = [s for s, _, t in ran if t == threading.get_ident()]
+                        assert mine == [0]  # the caller runs the first band
                         if split:
-                            mine = [s for s, _, t in ran if t == threading.get_ident()]
-                            assert mine == [0]  # the caller runs the first band
                             assert bands is None or [r for _, r, _ in sorted(ran)] == bands
     # graph_triangles' B^3 query is three chained products, each split.
     g = _triangles_graph()

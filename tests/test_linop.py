@@ -4,13 +4,14 @@ import multiprocessing
 import os
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracekit import linop
+from tracekit import graph, linop
 from tracekit.graph import AdjacencyOperator, Graph
 from tracekit.linop import (
     DenseOperator,
@@ -162,6 +163,7 @@ def test_dense_matvec_in_uneven_bands_is_its_one_vector_gemvs_bitwise(
 ):
     # Three workers make four bands: at d = 880 the last band is the tail
     # panel alone, at d = 1130 it is shorter than the others.
+    assert d * d < linop._SPLIT_MIN, "a one-vector query must stay below the split"
     band_workers(3)
     ran = []
     gemvs = linop._panel_gemvs
@@ -207,6 +209,41 @@ def _adjacency_split_case():
 SPLIT_CASES = {"dense": _dense_split_case, "adjacency": _adjacency_split_case}
 
 
+def _estrada_graph():
+    """graph_estrada's graph at seed 3: 1,500 nodes, so 8 columns stay below
+    the split."""
+    edges, _ = perfbench_module("graphgen").geometric_edges(1500, 12.0, 3)
+    return Graph(node_count=1500, edges=edges)
+
+
+def test_a_query_below_the_split_makes_no_pool(band_workers, monkeypatch):
+    # Below linop._SPLIT_MIN each kernel runs one band over every row on the
+    # calling thread, and no band pool is made, whatever the CPU count.
+    band_workers(3)
+    ran = []
+    gemvs, kernel = linop._panel_gemvs, graph._sparsetools.csr_matvecs
+
+    def recording_gemvs(A, Xt, Y):
+        ran.append((A.shape[0], threading.get_ident()))
+        gemvs(A, Xt, Y)
+
+    def recording_kernel(rows, *args):
+        ran.append((int(rows), threading.get_ident()))
+        kernel(rows, *args)
+
+    monkeypatch.setattr(linop, "_panel_gemvs", recording_gemvs)
+    monkeypatch.setattr(graph, "_sparsetools", SimpleNamespace(csr_matvecs=recording_kernel))
+    rng = np.random.default_rng(6)
+    dense = DenseOperator(rng.standard_normal((1000, 1000)))
+    adjacency = AdjacencyOperator(_estrada_graph())
+    for op, k, work in ((dense, 1, 1000 * 1000), (adjacency, 8, adjacency.matrix.nnz * 8)):
+        assert work < linop._SPLIT_MIN
+        ran.clear()
+        op.matvec(rng.standard_normal((op.dim, k)))
+        assert linop._pool == (None, 0, None), type(op).__name__
+        assert ran == [(op.dim, threading.get_ident())], type(op).__name__
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
 )
@@ -234,12 +271,14 @@ def test_a_forked_child_runs_split_queries_on_its_own_pool(band_workers, case):
     assert own_pool and got == expected.tobytes()
 
 
-@pytest.mark.parametrize("case", SPLIT_CASES)
+@pytest.mark.parametrize("case", [*SPLIT_CASES, "adjacency below the split"])
 def test_split_queries_keep_the_tracers_spans_nested(band_workers, case):
     # perfbench's tracer nests spans through one stack; band workers run
     # only numpy and scipy, so every span opens and closes on the calling
     # thread.  The dense kernel runs inside Lanczos's lockstep queries, the
-    # adjacency kernel inside a B^3 query's three products.
+    # adjacency kernel inside a B^3 query's three products, and below the
+    # split inside graph_estrada's exp(B) queries, where perfbench's traced
+    # inner query columns must equal inner_matvecs.
     band_workers(1)
     tracing = perfbench_module("tracing")
     if case == "dense":
@@ -250,7 +289,7 @@ def test_split_queries_keep_the_tracers_spans_nested(band_workers, case):
         steps = 20
         query = shifted_log_operator(inner, 0.1, steps)
         kernel, chain = "linop.DenseOperator._apply_vec", ["linop.LinearOperator.matvec"]
-    else:
+    elif case == "adjacency":
         inner, X, _ = _adjacency_split_case()
         steps, query = 3, PowerOperator(inner, 3)
         kernel = "graph.AdjacencyOperator._apply_block"
@@ -259,6 +298,13 @@ def test_split_queries_keep_the_tracers_spans_nested(band_workers, case):
             "linop.LinearOperator.matvec",
             "matfunc.PowerOperator._apply_block",
         ]
+    else:
+        inner = AdjacencyOperator(_estrada_graph())
+        X = np.random.default_rng(4).standard_normal((1500, 8))
+        steps = 40
+        query = exp_operator(inner, steps)
+        kernel = "graph.AdjacencyOperator._apply_block"
+        chain = ["linop.LinearOperator._apply_vec", "linop.LinearOperator.matvec"]
     k = X.shape[1]
     tracer = tracing.Tracer()
     tracer.install()
@@ -282,6 +328,13 @@ def test_split_queries_keep_the_tracers_spans_nested(band_workers, case):
             assert spans[up].name == name
             up = spans[up].parent
     assert not {s.parent for s in spans} & set(kernels)  # no traced call inside
+    queried = sum(
+        s.info[1]
+        for s in spans
+        if s.name in ("linop.LinearOperator.matvec", "linop.LinearOperator.matmat")
+        and s.info[0] is inner
+    )
+    assert queried == query.inner_matvecs
 
 
 def test_dense_and_diagonal_operators_reject_malformed_arrays():

@@ -1,4 +1,4 @@
-"""The package namespace (each public name declared once), five lints, and
+"""The package namespace (each public name declared once), six lints, and
 the package names the benchmark's tracer reads."""
 
 import ast
@@ -111,6 +111,15 @@ def test_no_module_level_import_goes_unused():
     assert not offenders, offenders
 
 
+def _package_sources() -> dict[str, str]:
+    """Each package module's dotted name mapped to its text."""
+    package = Path(tracekit.__file__).parent
+    return {
+        "tracekit" if path.stem == "__init__" else f"tracekit.{path.stem}": path.read_text()
+        for path in sorted(package.glob("*.py"))
+    }
+
+
 def _unread_private_names(sources: dict[str, str]) -> list[str]:
     """Each module-level private name that no module of ``sources`` reads.
 
@@ -157,13 +166,48 @@ def test_no_module_level_private_name_goes_unread():
     assert not _unread_private_names({"m": "_X: int = 1\nprint(_X)\n"})
     assert not _unread_private_names({"m": "_X = 1\n", "n": "from m import _X\n"})
     assert not _unread_private_names({"m": "__version__ = '1'\nX = 1\n"})
-    package = Path(tracekit.__file__).parent
-    sources = {
-        "tracekit" if path.stem == "__init__" else f"tracekit.{path.stem}": path.read_text()
-        for path in sorted(package.glob("*.py"))
-    }
-    unread = _unread_private_names(sources)
+    unread = _unread_private_names(_package_sources())
     assert not unread, unread
+
+
+# The band rule's threshold and pool, which only linop._run_bands reads.
+_BAND_RULE = {"_SPLIT_MIN", "_band_pool"}
+
+
+def _band_rule_readers(sources: dict[str, str]) -> list[str]:
+    """Each read or import of a ``_BAND_RULE`` name in ``sources`` (a dotted
+    module name mapped to its text) outside ``tracekit.linop._run_bands``."""
+    found = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if module == "tracekit.linop" and getattr(stmt, "name", None) == "_run_bands":
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                found += [f"{module} line {node.lineno}: {n}" for n in names if n in _BAND_RULE]
+    return found
+
+
+def test_the_band_rule_is_read_in_one_place():
+    # A kernel that tests the split itself, or reaches for the pool, fails:
+    # _run_bands alone decides whether a query runs in one band.
+    assert _band_rule_readers(
+        {"tracekit.graph": "from tracekit.linop import _SPLIT_MIN\n"}
+    ) == ["tracekit.graph line 1: _SPLIT_MIN"]
+    assert _band_rule_readers({"tracekit.graph": "linop._band_pool()\n"})
+    assert _band_rule_readers({"tracekit.linop": "def f(w):\n    return w < _SPLIT_MIN\n"})
+    assert not _band_rule_readers({
+        "tracekit.linop": "_SPLIT_MIN = 1\ndef _run_bands(w):\n    return w < _SPLIT_MIN\n"
+    })
+    readers = _band_rule_readers(_package_sources())
+    assert not readers, readers
 
 
 def _redefined_base_attributes(cls: type) -> set[str]:

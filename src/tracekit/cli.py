@@ -113,7 +113,7 @@ def main(argv=None) -> int:
         )
         rows = run_sweep(spec)
         emit_csv(rows, args.out)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for row in rows:

@@ -19,8 +19,14 @@ from tracekit.bench import (
 from tracekit import bench, cli
 from tracekit.cli import build_parser, main
 from tracekit.estimators import ESTIMATORS, hutchinson, run_estimator, subspace_projection
-from tracekit.graph import Graph
-from tracekit.linop import DenseOperator, DiagonalOperator, LinearOperator, sample_probes
+from tracekit.graph import Graph, estrada_index_exact, load_edge_list
+from tracekit.linop import (
+    DenseOperator,
+    DiagonalOperator,
+    LinearOperator,
+    WrappedOperator,
+    sample_probes,
+)
 from tracekit.matfunc import PowerOperator, exp_operator, lanczos_apply
 from tracekit.synth import (
     gaussian_kernel_matrix,
@@ -436,21 +442,49 @@ def _sweep_to_csv(source, out):
     emit_csv(run_sweep(ExperimentSpec(source, ("hutchinson",), (4,), trials=2)), out)
 
 
-def test_estrada_truth_past_the_dense_guard_writes_no_file(tmp_path):
-    # 669 disjoint triangles: 2,007 nodes, past the 2,000-node dense guard.
-    # Lanczos is exact here (each Krylov space has dimension 2), and each
-    # triangle has eigenvalues 2, -1, -1.
-    p = tmp_path / "triangles.txt"
-    p.write_text("".join(
-        f"{a} {a + 1}\n{a + 1} {a + 2}\n{a + 2} {a}\n" for a in range(0, 2007, 3)
+def _disjoint_triangles(path, n):
+    path.write_text("".join(
+        f"{a} {a + 1}\n{a + 1} {a + 2}\n{a + 2} {a}\n" for a in range(0, n, 3)
     ))
-    source = GraphEstradaSource(path=str(p), lanczos_iterations=3)
+    return str(path)
+
+
+def test_estrada_truth_of_a_2007_node_graph_writes_no_file(tmp_path):
+    # 669 disjoint triangles: 2,007 nodes, each with eigenvalues 2, -1, -1.
+    # The truth is the dense oracle at this size as at any other.
+    p = _disjoint_triangles(tmp_path / "triangles.txt", 2007)
+    source = GraphEstradaSource(path=p, lanczos_iterations=3)
     op, truth = source.materialize(seed=0)
     assert op.dim == 2007
     assert truth == pytest.approx(669 * (math.e**2 + 2 / math.e), rel=1e-12)
+    assert truth == estrada_index_exact(load_edge_list(p))
     assert source.materialize(seed=1)[1] == truth
     _sweep_to_csv(source, tmp_path / "out.csv")
     assert sorted(f.name for f in tmp_path.iterdir()) == ["out.csv", "triangles.txt"]
+
+
+@pytest.mark.parametrize("name", ["power_law", "power_law_diagonal", "kernel_logdet",
+                                  "graph_estrada", "graph_estrada_2007", "graph_triangles"])
+def test_no_truth_queries_its_operator(name, tmp_path):
+    # A sweep's set-up ends at its first query: no source's ground truth
+    # queries the operator it returns, nor the operator that one wraps.
+    k4 = tmp_path / "k4.txt"
+    k4.write_text("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    source = {
+        "power_law": PowerLawSource(exponent=1.0, dim=40),
+        "power_law_diagonal": PowerLawSource(exponent=1.0, dim=40, rotate=False),
+        "kernel_logdet": KernelLogDetSource(n_points=40, lanczos_iterations=10),
+        "graph_estrada": GraphEstradaSource(path=str(k4)),
+        "graph_estrada_2007": GraphEstradaSource(
+            path=_disjoint_triangles(tmp_path / "triangles.txt", 2007)
+        ),
+        "graph_triangles": GraphTrianglesSource(path=str(k4)),
+    }[name]
+    op, _ = source.materialize(seed=0)
+    assert op.query_count == 0
+    if isinstance(op, WrappedOperator):
+        assert op.inner_matvecs == 0
+    assert isinstance(op, WrappedOperator) == name.startswith(("kernel", "graph"))
 
 
 def test_triangle_truth_is_exact_past_5000_nodes_without_a_cache(tmp_path):
@@ -625,6 +659,21 @@ def test_cli_rejects_malformed_budgets(tmp_path, capsys):
     )
     assert rc == 2
     assert "--budgets" in capsys.readouterr().err
+
+
+class _OutOfMemorySource:
+    def materialize(self, seed):
+        raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+
+def test_cli_reports_a_source_out_of_memory(tmp_path, capsys, monkeypatch):
+    # The source raises before it allocates, so the test allocates nothing.
+    monkeypatch.setitem(cli._SOURCES, "huge", lambda args: _OutOfMemorySource())
+    out = tmp_path / "x.csv"
+    rc = main(["--source", "huge", "--budgets", "4", "--trials", "2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 29.1 TiB for an array\n"
+    assert not out.exists()
 
 
 def test_cli_unwritable_output(tmp_path, capsys):

@@ -563,12 +563,6 @@ def test_estrada_triangle_closed_form():
     assert estrada_index_exact(_triangle()) == pytest.approx(expected, rel=1e-13)
 
 
-def test_estrada_guard_has_no_override():
-    g = Graph(node_count=3000, edges=((0, 1),))
-    with pytest.raises(ValueError, match="3000"):
-        estrada_index_exact(g)
-
-
 def test_estrada_matches_the_dense_loop_build_bitwise():
     rng = np.random.default_rng(23)
     pairs = rng.integers(0, 80, size=(400, 2))
